@@ -788,30 +788,25 @@ def _run_resolvent(flow, prm, seed, cfg, writer, threads, checks):
                                       nodes_per_unit=prm["nodes_per_unit"],
                                       tolerance=prm["tolerance"])
     bump = _bump_from_spec(prm["psi"], "psi")
-    batch = flow.sample_invariant(seed, prm["n_points"])
-    points = [(float(batch.x[i]), float(batch.y[i]), float(batch.z[i]))
-              for i in range(len(batch))]
+    pts = flow.sample_invariant(seed, prm["n_points"])
+
+    def resolvent(psi, rp, n, count):
+        return transfer.resolvent_power_points(flow, psi, rp, n, pts[:count])
 
     one = transfer.constant_observable(1.0)
-    worst_const = 0.0
-    for w in points[:20]:
-        rv = transfer.resolvent_power_detailed(flow, one, params, 1, w)
-        worst_const = max(worst_const, abs(rv.value - 1.0 / params.z))
+    rv = resolvent(one, params, 1, 20)
+    worst_const = max([0.0, *transfer.cabs(rv.value - 1.0 / params.z)])
     tol = cfg.tolerance("constant_identity")
     checks.append(CheckResult("constant_identity", worst_const <= tol,
                               worst_const, tol, "R(z)1 vs 1/z on 20 points"))
 
     # R(z)(z psi + d_z psi) = psi: the generator acts as -d/dz inside a box
     gen = params.z * bump + bump.partial(2)
-    rows = []
-    worst_gen = 0.0
-    for i, w in enumerate(points):
-        rv = transfer.resolvent_power_detailed(flow, gen, params, 1, w)
-        ref = bump(*w)
-        worst_gen = max(worst_gen, abs(rv.value - ref))
-        rows.append({"point_id": i, "a": params.a, "b": params.b, "n": 1,
-                     "value_re": rv.value.real, "value_im": rv.value.imag,
-                     "error_budget": rv.error_budget})
+    rv = resolvent(gen, params, 1, len(pts))
+    worst_gen = max([0.0, *transfer.cabs(rv.value - bump(pts.x, pts.y, pts.z))])
+    rows = [{"point_id": i, "a": params.a, "b": params.b, "n": 1,
+             "value_re": v.real, "value_im": v.imag, "error_budget": e}
+            for i, (v, e) in enumerate(zip(rv.value, rv.error_budget))]
     transfer.write_resolvent_csv(writer.path("resolvent_points.csv"), rows)
     tol = cfg.tolerance("generator_identity")
     checks.append(CheckResult("generator_identity", worst_gen <= tol,
@@ -824,11 +819,9 @@ def _run_resolvent(flow, prm, seed, cfg, writer, threads, checks):
                                      nodes_per_unit=16, t_max=6.0,
                                      tolerance=1e-2)
     inner_obs = transfer.resolvent_observable(flow, bump, inner, 1)
-    worst_nested = 0.0
-    for w in points[:prm["n_nested"]]:
-        nested = transfer.resolvent_apply(flow, inner_obs, outer, w)
-        closed = transfer.resolvent_power(flow, bump, params, 2, w)
-        worst_nested = max(worst_nested, abs(nested - closed))
+    nested = resolvent(inner_obs, outer, 1, prm["n_nested"]).value
+    closed = resolvent(bump, params, 2, prm["n_nested"]).value
+    worst_nested = max([0.0, *transfer.cabs(nested - closed)])
     tol = cfg.tolerance("nested_agreement")
     checks.append(CheckResult("nested_agreement", worst_nested <= tol,
                               worst_nested, tol,
@@ -837,9 +830,8 @@ def _run_resolvent(flow, prm, seed, cfg, writer, threads, checks):
     worst_excess = -math.inf
     for n in prm["powers"]:
         bound = bump.sup_norm / prm["a"] ** n
-        for w in points[:10]:
-            v = transfer.resolvent_power(flow, bump, params, n, w)
-            worst_excess = max(worst_excess, abs(v) - bound)
+        v = resolvent(bump, params, n, 10).value
+        worst_excess = max([worst_excess, *(transfer.cabs(v) - bound)])
     tol = cfg.tolerance("modulus_bound")
     checks.append(CheckResult("modulus_bound", worst_excess <= tol,
                               worst_excess, tol,
@@ -914,7 +906,8 @@ def _run_dolgopyat(flow, prm, seed, cfg, writer, threads, checks):
     worst_factor = 0.0
     anchor_rows = []
     for b in prm["anchors"]:
-        val, budget = averaging.dolgopyat_value(flow, one, params, anchor_w, b)
+        (val,), (budget,) = averaging.dolgopyat_value(flow, one, params,
+                                                      [anchor_w], b)
         ref = (prm["a"] + 1j * b) ** (-2 * prm["m"])
         err = abs(val - ref)
         worst_factor = max(worst_factor, err / max(budget, 1e-300))
@@ -1175,15 +1168,16 @@ def run(config: ExperimentConfig, threads: int = 1) -> RunManifest:
     return manifest
 
 
+# wall time of one process at the defaults on a 2-core x86-64 VM (README)
 _RUNTIME_NOTES = {
-    "verify": "about 15 s at defaults",
-    "correlate": "about 25 s per 10^6 samples at defaults",
-    "resolvent": "under 1 min at defaults",
-    "ulam": "about 15 s at defaults (refinement doubling included)",
-    "dolgopyat": "about 30 s at defaults",
-    "complexity": "under 3 min at defaults (exact to n = 8)",
-    "normcheck": "about 30 s at defaults",
-    "leafstats": "a few seconds at defaults",
+    "verify": "about 1 s at defaults",
+    "correlate": "about 30 s per 10^6 samples at defaults",
+    "resolvent": "about 2 s at defaults",
+    "ulam": "about 25 s at defaults (refinement doubling included)",
+    "dolgopyat": "about 6 s at defaults",
+    "complexity": "about 100 s at defaults (exact to n = 8)",
+    "normcheck": "about 7 s at defaults",
+    "leafstats": "about 1 s at defaults",
 }
 
 

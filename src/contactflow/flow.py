@@ -188,10 +188,6 @@ class PiecewiseAffineTorusMap:
                 segs.append([float(a[0]), float(a[1]), float(b[0]), float(b[1])])
         return np.array(segs)
 
-    def boundary_segments(self) -> np.ndarray:
-        """Piece-boundary segments as rows (x0, y0, x1, y1)."""
-        return self._edges.copy()
-
     def map_discontinuity_segments(self) -> list[tuple[tuple[float, float], tuple[float, float], str]]:
         """Discontinuities of the torus map itself (not of its lift)."""
         return [((1.0, 0.0), (0.0, 1.0), "antidiagonal")]
@@ -429,9 +425,6 @@ class FlowPoint:
     z: float
     piece_id: int
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 class FlowPointBatch:
     """Array-backed sequence of FlowPoint (list-like, lazy items)."""
@@ -494,14 +487,23 @@ class SuspensionFlow:
     # -- point plumbing ------------------------------------------------------
 
     def flow_point(self, x: float, y: float, z: float) -> FlowPoint:
-        pid = self.base.piece_of(x % 1.0, y % 1.0)
-        tau = self.roof.tau(x % 1.0, y % 1.0, pid)
-        if not (0.0 <= z < tau):
-            raise ValueError(f"z = {z} outside [0, {tau})")
-        return FlowPoint(x % 1.0, y % 1.0, z, pid)
+        return self.flow_points([x], [y], [z])[0]
 
-    def tau_of(self, p: FlowPoint) -> float:
-        return self.roof.tau(p.x, p.y, p.piece_id)
+    def flow_points(self, x, y, z) -> FlowPointBatch:
+        """Marked points with x, y wrapped to the torus; 0 <= z < tau required."""
+        x = np.asarray(x, dtype=float) % 1.0
+        y = np.asarray(y, dtype=float) % 1.0
+        z = np.asarray(z, dtype=float)
+        pid = self.base.piece_of_arrays(x, y)
+        if np.any(pid < 0):
+            i = int(np.argmax(pid < 0))
+            raise ValueError(f"point ({x[i]}, {y[i]}) not claimed by any piece")
+        tau = self.roof.tau_arrays(x, y, pid)
+        bad = ~((0.0 <= z) & (z < tau))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(f"z = {z[i]} outside [0, {tau[i]})")
+        return FlowPointBatch(x, y, z, pid)
 
     # -- scalar evolution ----------------------------------------------------
 
@@ -592,36 +594,39 @@ class SuspensionFlow:
             x[jump], y[jump], pid[jump] = nx, ny, npid
             z[jump] = self.roof.tau_arrays(nx, ny, npid)
 
-    def backward_orbit_eval(self, p: FlowPoint, ts: np.ndarray):
-        """Positions of the backward orbit of p at sorted times ts >= 0.
+    def backward_orbit_eval(self, x, y, z, pid, ts):
+        """Positions (x, y, z, pid), each of shape (len(x), len(ts)), of the
+        backward orbits of (x, y, z, pid) at sorted times ts >= 0.
 
-        One walk per orbit; within an inter-crossing window the position is
-        closed-form, so the cost is O(len(ts) + crossings).
-        Returns arrays (x, y, z, pid) aligned with ts.
+        Level k of an orbit is its k-th box, entered at t_k (t_0 = 0) and
+        left at t_k + z, where a node at exactly t_k + z stays; only orbits
+        whose box ends before ts[-1] step to the next level.
         """
         ts = np.asarray(ts, dtype=float)
-        n = len(ts)
-        ox = np.empty(n)
-        oy = np.empty(n)
-        oz = np.empty(n)
-        op = np.empty(n, dtype=np.int64)
-        x, y, z, pid = p.x, p.y, p.z, p.piece_id
-        t0 = 0.0
-        i = 0
-        while i < n:
-            hi = t0 + z  # orbit stays in this box for ts in [t0, t0 + z]
-            j = int(np.searchsorted(ts, hi, side="right"))
-            ox[i:j] = x
-            oy[i:j] = y
-            oz[i:j] = z - (ts[i:j] - t0)
-            op[i:j] = pid
-            i = j
-            if i >= n:
-                break
-            t0 = hi
-            x, y, pid = self.base.apply_inverse(x, y)
-            z = self.roof.tau(x, y, pid)
-        return ox, oy, oz, op
+        n, m = np.size(x), ts.size
+        levels = [np.array([x, y, z, pid, np.zeros(n)], dtype=float).reshape(5, n)]
+        his = [levels[0][4] + levels[0][2]]
+        act = np.nonzero(his[0] < (ts[-1] if m else -math.inf))[0]
+        while act.size:
+            px, py = levels[-1][0, act], levels[-1][1, act]
+            nx, ny, npid = self.base.apply_inverse_arrays(px, py)
+            if np.any(npid < 0):
+                i = int(np.argmax(npid < 0))
+                raise ValueError(f"no inverse piece claims ({px[i]}, {py[i]})")
+            nxt = np.zeros((5, n))
+            nxt[:, act] = nx, ny, self.roof.tau_arrays(nx, ny, npid), npid, his[-1][act]
+            hi = np.full(n, math.inf)
+            hi[act] = nxt[4, act] + nxt[2, act]
+            levels.append(nxt)
+            his.append(hi)
+            act = act[hi[act] < ts[-1]]
+        # level of node j = number of boxes the orbit left before ts[j]
+        ends = np.searchsorted(ts, np.stack(his, axis=1), side="right")
+        marks = np.bincount((np.arange(n)[:, None] * (m + 1) + ends).ravel(),
+                            minlength=n * (m + 1))
+        level = np.cumsum(marks.reshape(n, m + 1)[:, :m], axis=1)
+        ox, oy, oz, op, ot = np.take_along_axis(np.stack(levels, axis=2), level[None], axis=2)
+        return ox, oy, oz - (ts - ot), op.astype(np.int64)
 
     # -- sections, sampling, dumps -------------------------------------------
 
@@ -689,10 +694,6 @@ class SuspensionFlow:
         return rows
 
     # -- discontinuity geometry ----------------------------------------------
-
-    def discontinuity_segments(self):
-        """Flow-box boundary segments (map discontinuity + roof-jump lines)."""
-        return self.base.boundary_segments()
 
     def min_distance_to_discontinuity(self, x, y) -> np.ndarray:
         return self.base.distance_to_boundary_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -843,15 +844,6 @@ class PerturbedTorusMap:
         d_shear = np.minimum(y1w, 1.0 - y1w)
         d_seam = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
         return np.minimum(np.minimum(d_branch, d_wrap), np.minimum(d_shear, d_seam))
-
-    def boundary_segments(self) -> np.ndarray:
-        segs = [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0]]
-        ts = np.linspace(0.0, 1.0, 65)
-        curve = [(t, (1.0 - t - self.epsilon * np.sin(2.0 * np.pi * t)) % 1.0) for t in ts]
-        for (x0, y0), (x1, y1) in zip(curve[:-1], curve[1:]):
-            if abs(y1 - y0) < 0.5:
-                segs.append([x0, y0, x1, y1])
-        return np.array(segs)
 
     def map_discontinuity_segments(self):
         ts = np.linspace(0.0, 1.0, 65)

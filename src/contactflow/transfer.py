@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,11 +26,14 @@ from . import _polygon as pg
 from ._quadrature import composite_panels
 from ._rng import spawn_rng
 from .errors import EmptyCell, NoiseFloor, ToleranceNotMet
-from .flow import FlowPoint
+from .flow import FlowPoint, FlowPointBatch
 
 # sup of |d/du exp(1 - 1/(1 - u^2))|, attained at u = 3^(-1/4); rounded up in
 # the last digit so declared Lipschitz bounds stay true upper bounds.
 BUMP_DERIV_SUP = 2.1703571
+
+# orbit x node elements per block of resolvent_power_points (peak memory)
+_BLOCK_ELEMENTS = 2 ** 16
 
 
 def _wrap_delta(d):
@@ -304,7 +308,7 @@ class ResolventParams:
 
 @dataclass(frozen=True)
 class ResolventValue:
-    """Quadrature value with its recorded error budget."""
+    """Quadrature value(s) with the recorded error budget; arrays for a batch."""
 
     value: complex
     tail_bound: float
@@ -317,34 +321,41 @@ class ResolventValue:
         return self.tail_bound + self.rule_error
 
 
+@lru_cache(maxsize=64)
 def _rule_nodes(rule: str, t_max: float, nodes_per_unit: int):
+    """Nodes and weights on [0, t_max]; cached, so returned read-only."""
     if rule == "gauss":
-        return composite_panels(t_max, nodes_per_unit)
-    m = max(2, int(math.ceil(t_max * nodes_per_unit)) + 1)
-    ts = np.linspace(0.0, t_max, m)
-    ws = np.full(m, ts[1] - ts[0])
-    ws[0] *= 0.5
-    ws[-1] *= 0.5
+        ts, ws = composite_panels(t_max, nodes_per_unit)
+    else:
+        m = max(2, int(math.ceil(t_max * nodes_per_unit)) + 1)
+        ts = np.linspace(0.0, t_max, m)
+        ws = np.full(m, ts[1] - ts[0])
+        ws[0] *= 0.5
+        ws[-1] *= 0.5
+    for arr in (ts, ws):
+        arr.setflags(write=False)
     return ts, ws
 
 
-def _as_flow_point(flow, w) -> FlowPoint:
-    if isinstance(w, FlowPoint):
-        return w
-    x, y, z = (float(v) for v in w)
-    return flow.flow_point(x, y, z)
+def cabs(v):
+    """|v| as hypot, like Python's complex abs (np.abs may differ in the last bit)."""
+    return np.hypot(v.real, v.imag)
 
 
-def resolvent_power_detailed(flow, psi: Observable, params: ResolventParams,
-                             n: int, w) -> ResolventValue:
-    """``R(z)^n psi`` at the point w, with an explicit error budget.
+def resolvent_power_points(flow, psi: Observable, params: ResolventParams,
+                           n: int, points) -> ResolventValue:
+    """``R(z)^n psi`` at a batch of points, with an explicit error budget.
 
     One quadrature with kernel ``t^(n-1) e^{-zt} / (n-1)!`` along the
-    backward orbit of w.  The value is computed at twice the requested node
-    density; the difference from the requested-density rule is recorded as
-    the rule error, a conservative estimate for the reported value.  Jump
-    times of ``t -> psi(T_{-t} w)`` are not refined; the density comparison
-    absorbs them into the budget.
+    backward orbit of each point.  The value is computed at twice the
+    requested node density; the difference from the requested-density rule
+    is recorded as the rule error, a conservative estimate for the reported
+    value.  Jump times of ``t -> psi(T_{-t} w)`` are not refined; the
+    density comparison absorbs them into the budget.
+
+    ``points`` is a FlowPointBatch or coordinate arrays ``(x, y, z)``
+    checked like ``flow.flow_point``; ``value`` and ``rule_error`` are
+    arrays aligned with them.  A point's value does not depend on the batch.
     """
     if n != int(n) or int(n) < 1:
         raise ValueError("n must be an integer >= 1")
@@ -360,27 +371,49 @@ def resolvent_power_detailed(flow, psi: Observable, params: ResolventParams,
     t_max = params.horizon(n)
     tq, wq = _rule_nodes(params.rule, t_max, params.nodes_per_unit)
     tr_, wr = _rule_nodes(params.rule, t_max, 2 * params.nodes_per_unit)
+    if not isinstance(points, FlowPointBatch):
+        points = flow.flow_points(*points)
     ts = np.concatenate([tq, tr_])
     order = np.argsort(ts, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    point = _as_flow_point(flow, w)
-    ox, oy, oz, _ = flow.backward_orbit_eval(point, ts[order])
-    vals = np.asarray(psi(ox, oy, oz))[rank]
     kern = np.exp(-params.z * ts)
     if n > 1:
         kern = kern * ts ** (n - 1) / math.factorial(n - 1)
-    weighted = kern * vals
-    requested = complex(np.sum(wq * weighted[: len(tq)]))
-    refined = complex(np.sum(wr * weighted[len(tq):]))
-    out = ResolventValue(value=refined, tail_bound=tail,
-                         rule_error=abs(refined - requested),
+    value = np.empty(len(points), dtype=complex)
+    rule_error = np.empty(len(points))
+    block = max(1, _BLOCK_ELEMENTS // len(ts))
+    for lo in range(0, len(points), block):
+        b = slice(lo, lo + block)
+        ox, oy, oz, _ = flow.backward_orbit_eval(
+            points.x[b], points.y[b], points.z[b], points.piece_id[b], ts[order])
+        weighted = kern * np.asarray(psi(ox, oy, oz))[:, rank]
+        # contiguous rows keep NumPy's pairwise summation, as for one orbit
+        requested = np.sum(np.ascontiguousarray(wq * weighted[:, :len(tq)]), axis=1)
+        refined = np.sum(np.ascontiguousarray(wr * weighted[:, len(tq):]), axis=1)
+        value[b] = refined
+        rule_error[b] = cabs(refined - requested)
+    out = ResolventValue(value=value, tail_bound=tail, rule_error=rule_error,
                          t_max=t_max, n_nodes=len(tr_))
-    if out.error_budget > params.tolerance:
+    over = out.error_budget > params.tolerance
+    if np.any(over):
+        i = int(np.argmax(over))
         raise ToleranceNotMet(
-            f"budget {out.error_budget:.3e} (tail {tail:.3e} + rule "
-            f"{out.rule_error:.3e}) > tolerance {params.tolerance:.3e}")
+            f"budget {out.error_budget[i]:.3e} (tail {tail:.3e} + rule "
+            f"{rule_error[i]:.3e}) > tolerance {params.tolerance:.3e}")
     return out
+
+
+def resolvent_power_detailed(flow, psi: Observable, params: ResolventParams,
+                             n: int, w) -> ResolventValue:
+    """``R(z)^n psi`` at the point w: resolvent_power_points on a batch of one."""
+    if isinstance(w, FlowPoint):
+        pts = FlowPointBatch(*(np.array([v]) for v in (w.x, w.y, w.z, w.piece_id)))
+    else:
+        pts = tuple(np.array([float(v)]) for v in w)
+    rv = resolvent_power_points(flow, psi, params, n, pts)
+    return replace(rv, value=complex(rv.value[0]),
+                   rule_error=float(rv.rule_error[0]))
 
 
 def resolvent_apply(flow, psi: Observable, params: ResolventParams, w) -> complex:
@@ -394,34 +427,13 @@ def resolvent_power(flow, psi: Observable, params: ResolventParams, n: int, w) -
 
 def resolvent_observable(flow, psi: Observable, params: ResolventParams,
                          n: int = 1) -> Observable:
-    """``R(z)^n psi`` wrapped as an Observable (evaluates pointwise)."""
+    """``R(z)^n psi`` as an Observable; a call is one resolvent_power_points batch."""
     def ev(x, y, z):
-        shp = np.shape(x)
-        xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        ys = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
-        zs = np.atleast_1d(np.asarray(z, dtype=float)).ravel()
-        out = np.empty(xs.shape, dtype=complex)
-        for i in range(xs.size):
-            out[i] = resolvent_power_detailed(
-                flow, psi, params, n, (xs[i], ys[i], zs[i])).value
-        return out.reshape(shp)
+        pts = (np.ravel(x), np.ravel(y), np.ravel(z))
+        return resolvent_power_points(flow, psi, params, n, pts).value.reshape(np.shape(x))
 
     sup = None if psi.sup_norm is None else psi.sup_norm / params.a ** n
     return Observable(evaluator=ev, sup_norm=sup, name=f"R^{n}({psi.name})")
-
-
-def resolvent_trace(flow, psi: Observable, params: ResolventParams, n: int,
-                    points) -> list[dict]:
-    """Evaluate ``R(z)^n psi`` at each point; rows ready for the CSV trace."""
-    rows = []
-    for i, w in enumerate(points):
-        rv = resolvent_power_detailed(flow, psi, params, n, w)
-        rows.append({
-            "point_id": i, "a": params.a, "b": params.b, "n": int(n),
-            "value_re": rv.value.real, "value_im": rv.value.imag,
-            "error_budget": rv.error_budget,
-        })
-    return rows
 
 
 def write_resolvent_csv(path, rows: Sequence[dict]) -> None:

@@ -21,6 +21,8 @@ from contactflow import (
 )
 from contactflow.cli import ExperimentConfig, run
 
+pytestmark = pytest.mark.acceptance
+
 
 def _run(tmp_path, experiment, out, parameters=None, seed=0):
     data = {"experiment": experiment, "out": str(tmp_path / out),

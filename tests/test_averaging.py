@@ -165,23 +165,25 @@ def test_cancellation_anchor_constant_observable(flow):
     one = constant_observable(1.0)
     w = (0.4, 0.6, 0.5)
     params = default_dolgopyat_params(flow)
-    val, budget = dolgopyat_value(flow, one, params, w, 2.0)
+    (val,), (budget,) = dolgopyat_value(flow, one, params, [w], 2.0)
     target = (2.0 + 2.0j) ** -4
     assert abs(val - target) <= budget
     assert abs(target) == pytest.approx((4.0 + 4.0) ** -2, abs=1e-18)
 
     params1 = default_dolgopyat_params(flow, m=1)
-    val1, budget1 = dolgopyat_value(flow, one, params1, w, 2.0)
+    (val1,), (budget1,) = dolgopyat_value(flow, one, params1, [w], 2.0)
     assert abs(abs(val1) - 0.125) <= budget1
 
 
 def test_cancellation_values_conjugate_in_b(flow):
     psi = flow_box_bump(**PSI)
     params = default_dolgopyat_params(flow)
-    for w in [(0.4, 0.6, 0.5), (0.25, 0.3, 0.8)]:
-        plus, _ = dolgopyat_value(flow, psi, params, w, 8.0)
-        minus, _ = dolgopyat_value(flow, psi, params, w, -8.0)
-        assert abs(plus - minus.conjugate()) < 1e-12
+    ws = [(0.4, 0.6, 0.5), (0.25, 0.3, 0.8)]
+    plus, _ = dolgopyat_value(flow, psi, params, ws, 8.0)
+    minus, _ = dolgopyat_value(flow, psi, params, ws, -8.0)
+    assert np.all(np.abs(plus - minus.conjugate()) < 1e-12)
+    for w, v in zip(ws, plus):  # a batch row is the single-point value
+        assert dolgopyat_value(flow, psi, params, [w], 8.0)[0][0] == v
 
 
 def test_cancellation_sweep_small(flow):

@@ -20,7 +20,7 @@ from contactflow import (
 )
 from contactflow._rng import spawn_rng
 from contactflow.flow import PerturbedRoof, PerturbedTorusMap
-from helpers import interior_points, wrap_diff
+from helpers import backward_orbit_reference, grid_points, interior_points, wrap_diff
 
 MAT = np.array([[1.0, 1.0], [0.5, 1.5]])
 
@@ -210,6 +210,41 @@ def test_backward_at_section_jumps_first(flow):
     assert q.x == pytest.approx(bx, abs=1e-6)
     assert q.y == pytest.approx(by, abs=1e-6)
     assert q.z > 1.0  # just under the roof of the preimage piece
+
+
+@pytest.mark.parametrize("flow_name", ["flow", "pflow"])
+def test_backward_orbit_eval_matches_reference_walk(flow_name, request):
+    f = request.getfixturevalue(flow_name)
+    b = grid_points(f, 12)
+    # first two crossing times of orbit 0, hit exactly by nodes
+    px, py, ppid = f.base.apply_inverse(float(b.x[0]), float(b.y[0]))
+    t1 = float(b.z[0])
+    t2 = t1 + f.roof.tau(px, py, ppid)
+    cases = [
+        np.linspace(0.0, float(b.z.min()), 7),  # no orbit crosses
+        np.sort(np.concatenate([np.linspace(0.0, 6.0, 97), [t1, t2]])),
+    ]
+    for ts in cases:
+        got = f.backward_orbit_eval(b.x, b.y, b.z, b.piece_id, ts)
+        crossings = set()
+        for i in range(len(b)):
+            ref = backward_orbit_reference(f, float(b.x[i]), float(b.y[i]),
+                                           float(b.z[i]), int(b.piece_id[i]), ts)
+            for g, r in zip(got, ref):
+                assert np.array_equal(g[i], r)
+            crossings.add(int(np.sum(np.diff(ref[2]) > 0.0)))
+        if ts[-1] <= b.z.min():
+            assert crossings == {0}
+        else:
+            assert len(crossings) > 1
+
+
+def test_backward_orbit_eval_rejects_unclaimed_start(flow):
+    pid = flow.base.piece_of(0.3, 0.4)
+    with pytest.raises(ValueError, match="no inverse piece claims"):
+        flow.backward_orbit_eval(np.array([0.3, np.nan]), np.array([0.4, 0.4]),
+                                 np.array([0.2, 0.2]), np.array([pid, pid]),
+                                 np.linspace(0.0, 3.0, 10))
 
 
 def test_flow_diag_counts_crossings(flow):

@@ -22,6 +22,8 @@ from contactflow import (
     verify_lipschitz,
     write_resolvent_csv,
 )
+from contactflow.transfer import _rule_nodes, resolvent_power_points
+from helpers import grid_points
 
 BUMP = dict(center=(0.3, 0.4, 0.5), halfwidths=(0.2, 0.2, 0.3))
 
@@ -102,6 +104,31 @@ def test_resolvent_of_constant_is_one_over_z(flow):
         rv = resolvent_power_detailed(flow, one, params, 1, w)
         assert abs(rv.value - target) < 1e-8
         assert rv.error_budget >= 0.0
+
+
+@pytest.mark.parametrize("flow_name", ["flow", "pflow"])
+def test_resolvent_single_point_is_row_of_batch(flow_name, request):
+    f = request.getfixturevalue(flow_name)
+    params = ResolventParams(a=2.0, b=3.0, nodes_per_unit=128,
+                             tolerance=1e-4)
+    psi = flow_box_bump(**BUMP)
+    gen = params.z * psi + psi.partial(2)
+    batch = grid_points(f, 12)  # spans more than one orbit block
+    rv = resolvent_power_points(f, gen, params, 1, batch)
+    for i in range(len(batch)):
+        w = (batch.x[i], batch.y[i], batch.z[i])
+        one = resolvent_power_detailed(f, gen, params, 1, w)
+        assert one.value == rv.value[i]
+        assert one.rule_error == rv.rule_error[i]
+
+
+def test_rule_nodes_cached_read_only():
+    for rule in ("gauss", "trapezoid"):
+        ts, ws = _rule_nodes(rule, 3.5, 4)
+        assert _rule_nodes(rule, 3.5, 4)[0] is ts
+        for arr in (ts, ws):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 def test_resolvent_power_one_matches_apply(flow):
