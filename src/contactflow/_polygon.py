@@ -114,12 +114,6 @@ def point_in_closed(poly: Sequence[Point], p: Point) -> bool:
     return True
 
 
-def bounding_box(poly: Sequence[Point]) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    return min(xs), max(xs), min(ys), max(ys)
-
-
 def polygon_moments(poly: Sequence[Point]) -> dict[str, Fraction]:
     """Exact integrals of 1, x, y, x^2, xy, y^2 over a CCW polygon."""
     one = x = y = xx = xy = yy = Fraction(0)

@@ -62,12 +62,6 @@ class AnisoSymbol:
         return AnisoSymbol(r_prime, s_prime, self.q + self.r - r_prime)
 
 
-def symbol_eval(sym: AnisoSymbol, xi) -> float:
-    """Evaluate a symbol at a single frequency triple (xi_u, xi_s, xi_0)."""
-    xu, xs, x0 = (float(c) for c in xi)
-    return float(sym(xu, xs, x0))
-
-
 def scale_bracket(x: float, lam: float):
     """Return (lam^{-1}(1+lam*x), 1+x, 2*lam^{-1}(1+lam*x)).
 
@@ -135,9 +129,6 @@ class GridFunction3:
             self._fhat = np.fft.fftn(self.values)
             self._fhat.setflags(write=False)
         return self._fhat
-
-    def role_axis(self, role: str) -> int:
-        return self.axes.index(role)
 
     def l2_norm(self) -> float:
         """Discrete L^2 norm with cell-volume weight (L/N)^3."""

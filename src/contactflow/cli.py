@@ -20,13 +20,12 @@ the full key path)::
 Command line::
 
     contactflow <subcommand> [--config FILE] [--seed N] [--out DIR]
-                [--threads K]
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 config
 error.  All randomness flows from the single config seed through splittable
 counter-based streams, so a rerun with the same (config, seed) writes
-byte-identical numeric artifacts for any ``--threads`` value; only
-``manifest.json`` differs (wall time).
+byte-identical numeric artifacts; only ``manifest.json`` differs (wall
+time).
 """
 
 from __future__ import annotations
@@ -623,15 +622,15 @@ def _contact_invariance_residual(flow: SuspensionFlow, n_valid: int,
     return worst, used
 
 
-def _volume_box_z(flow: SuspensionFlow, box, n: int, seed: int,
-                  threads: int) -> tuple[float, str]:
+def _volume_box_z(flow: SuspensionFlow, box, n: int,
+                  seed: int) -> tuple[float, str]:
     (x0, x1), (y0, y1), (z0, z1) = box
     roof_floor = min(float(v) for v in flow.roof.per_piece_inf)
     if not (0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1
             and 0 <= z0 < z1 <= roof_floor):
         return math.inf, (f"box not inside the flow domain "
                           f"(roof floor {roof_floor:.6g})")
-    batch = flow.sample_invariant(seed, n, threads=threads)
+    batch = flow.sample_invariant(seed, n)
     inside = ((batch.x >= x0) & (batch.x < x1)
               & (batch.y >= y0) & (batch.y < y1)
               & (batch.z >= z0) & (batch.z < z1))
@@ -678,7 +677,7 @@ def _chart_residual(flow: SuspensionFlow, seed: int) -> float:
     return max(check_contact_chart(c, pts).max_residual for c in charts)
 
 
-def _run_verify(flow, prm, seed, cfg, writer, threads, checks):
+def _run_verify(flow, prm, seed, cfg, writer, checks):
     ok, detail = _closedness_exact(flow)
     checks.append(CheckResult("closedness", ok, 0.0 if ok else 1.0,
                               cfg.tolerance("closedness"), detail))
@@ -694,8 +693,7 @@ def _run_verify(flow, prm, seed, cfg, writer, threads, checks):
                               contact <= tol and used >= prm["n_contact"],
                               contact, tol, f"valid samples {used}"))
 
-    zscore, detail = _volume_box_z(flow, prm["box"], prm["n_volume"], seed,
-                                   threads)
+    zscore, detail = _volume_box_z(flow, prm["box"], prm["n_volume"], seed)
     checks.append(CheckResult("volume_box_z", zscore <= cfg.tolerance("volume_box_z"),
                               zscore, cfg.tolerance("volume_box_z"), detail))
 
@@ -740,7 +738,7 @@ def _bump_from_spec(spec: dict, name: str) -> transfer.Observable:
                                   tuple(spec["halfwidths"]), name=name)
 
 
-def _run_correlate(flow, prm, seed, cfg, writer, threads, checks):
+def _run_correlate(flow, prm, seed, cfg, writer, checks):
     psi1 = _bump_from_spec(prm["psi1"], "psi1")
     control = prm["psi2"] == "one"
     psi2 = (transfer.constant_observable(1.0) if control
@@ -749,7 +747,7 @@ def _run_correlate(flow, prm, seed, cfg, writer, threads, checks):
     t_grid = np.arange(n_steps + 1) * prm["t_step"]
     series = transfer.correlation(flow, psi1, psi2, t_grid,
                                   prm["n_samples"], seed,
-                                  n_batches=prm["n_batches"], threads=threads)
+                                  n_batches=prm["n_batches"])
     series.to_csv(writer.path("correlation.csv"))
 
     if control:
@@ -783,7 +781,7 @@ def _run_correlate(flow, prm, seed, cfg, writer, threads, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_resolvent(flow, prm, seed, cfg, writer, threads, checks):
+def _run_resolvent(flow, prm, seed, cfg, writer, checks):
     params = transfer.ResolventParams(a=prm["a"], b=prm["b"],
                                       nodes_per_unit=prm["nodes_per_unit"],
                                       tolerance=prm["tolerance"])
@@ -852,9 +850,9 @@ def _run_resolvent(flow, prm, seed, cfg, writer, threads, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_ulam(flow, prm, seed, cfg, writer, threads, checks):
+def _run_ulam(flow, prm, seed, cfg, writer, checks):
     model = transfer.ulam_build(flow, prm["t"], (prm["nx"], prm["ny"], prm["nz"]),
-                                prm["samples_per_cell"], seed, threads=threads)
+                                prm["samples_per_cell"], seed)
     lead_err = abs(model.leading - 1.0)
     tol = cfg.tolerance("ulam_leading")
     checks.append(CheckResult("ulam_leading", lead_err <= tol, lead_err, tol))
@@ -877,7 +875,7 @@ def _run_ulam(flow, prm, seed, cfg, writer, threads, checks):
     if prm["refine"]:
         fine = transfer.ulam_build(
             flow, prm["t"], (2 * prm["nx"], 2 * prm["ny"], 2 * prm["nz"]),
-            prm["samples_per_cell"], seed, threads=threads)
+            prm["samples_per_cell"], seed)
         rel = abs(fine.second_modulus - model.second_modulus) / model.second_modulus
         tol = cfg.tolerance("ulam_refine_rel")
         checks.append(CheckResult("ulam_refine_rel", rel <= tol, rel, tol,
@@ -896,7 +894,7 @@ def _run_ulam(flow, prm, seed, cfg, writer, threads, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_dolgopyat(flow, prm, seed, cfg, writer, threads, checks):
+def _run_dolgopyat(flow, prm, seed, cfg, writer, checks):
     params = averaging.default_dolgopyat_params(flow, a=prm["a"], m=prm["m"],
                                                 gamma=prm["gamma"])
     psi = _bump_from_spec(prm["psi"], "psi")
@@ -957,7 +955,7 @@ def _run_dolgopyat(flow, prm, seed, cfg, writer, threads, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_complexity(flow, prm, seed, cfg, writer, threads, checks):
+def _run_complexity(flow, prm, seed, cfg, writer, checks):
     reports = complexity_counts(flow, prm["n_max"], method=prm["method"])
     rows = [(r.n, r.D_b, r.D_e, r.rate_b, r.rate_e, r.cells_b, r.cells_e,
              r.method) for r in reports]
@@ -992,7 +990,7 @@ def _run_complexity(flow, prm, seed, cfg, writer, threads, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_normcheck(flow, prm, seed, cfg, writer, threads, checks):
+def _run_normcheck(flow, prm, seed, cfg, writer, checks):
     rng = spawn_rng(seed, 31)
     n0 = prm["parseval_n"]
     vals = rng.normal(size=(n0, n0, n0)) + 1j * rng.normal(size=(n0, n0, n0))
@@ -1072,7 +1070,7 @@ def _run_normcheck(flow, prm, seed, cfg, writer, threads, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_leafstats(flow, prm, seed, cfg, writer, threads, checks):
+def _run_leafstats(flow, prm, seed, cfg, writer, checks):
     leaf = averaging.leaf_through(flow, tuple(prm["anchor"]), prm["delta"])
     resid = leaf.kernel_residual()
     tol = cfg.tolerance("kernel_residual")
@@ -1132,15 +1130,13 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig, threads: int = 1) -> RunManifest:
+def run(config: ExperimentConfig) -> RunManifest:
     """Execute one experiment; always writes manifest.json before returning.
 
     Domain errors raised mid-experiment become a failed check named after
     the exception, so the manifest records partial progress instead of the
     process dying with a traceback.
     """
-    if threads < 1:
-        raise ConfigError("threads: must be >= 1")
     t0 = time.perf_counter()
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -1149,7 +1145,7 @@ def run(config: ExperimentConfig, threads: int = 1) -> RunManifest:
     try:
         flow = config.build_flow()
         _RUNNERS[config.experiment](flow, config.parameters, config.seed,
-                                    config, writer, threads, checks)
+                                    config, writer, checks)
     except ContactFlowError as exc:
         checks.append(CheckResult(f"runtime_{type(exc).__name__}", False,
                                   math.inf, 0.0, str(exc)))
@@ -1196,8 +1192,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--out", default=None,
                        help="override the output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count; results do not depend on it")
     return parser
 
 
@@ -1218,13 +1212,11 @@ def main(argv=None) -> int:
             overrides["out"] = ns.out
         if overrides:
             config = dataclasses.replace(config, **overrides)
-        if ns.threads < 1:
-            raise ConfigError("threads: must be >= 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    manifest = run(config, threads=ns.threads)
+    manifest = run(config)
     n_pass = sum(1 for c in manifest.checks if c.passed)
     print(f"{config.experiment}: {n_pass}/{len(manifest.checks)} checks "
           f"passed in {manifest.wall_time_s:.1f} s -> {config.out}/manifest.json")

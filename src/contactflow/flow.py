@@ -33,8 +33,6 @@ from ._rng import DEFAULT_CHUNK, chunk_bounds, spawn_rng
 from ._quadrature import gl_interval
 from .errors import ClosednessViolation, NonFinite, PathDependence
 
-NUDGE = 1e-12  # deterministic shift off a discontinuity hit during flow
-
 
 # ---------------------------------------------------------------------------
 # base map
@@ -174,7 +172,7 @@ class PiecewiseAffineTorusMap:
     def piece_matrices(self) -> list[np.ndarray]:
         return [p.matrix_f for p in self.pieces]
 
-    def sample_jacobians(self, n: int = 1, seed: int = 0) -> list[np.ndarray]:
+    def sample_jacobians(self) -> list[np.ndarray]:
         return self.piece_matrices()
 
     # -- geometry helpers ---------------------------------------------------
@@ -333,13 +331,6 @@ class RoofFunction:
         gy = c[..., 2] + c[..., 4] * x + 2.0 * c[..., 5] * y
         return gx, gy
 
-    def tau_exact(self, x: Fraction, y: Fraction, pid: int) -> Fraction:
-        c = self.coeffs[pid]
-        return (
-            c["const"] + c["lx"] * x + c["ly"] * y
-            + c["qxx"] * x * x + c["qxy"] * x * y + c["qyy"] * y * y
-        )
-
 
 def build_roof(base: PiecewiseAffineTorusMap, tau_minus: float) -> RoofFunction:
     """Solve the roof compatibility equations piece by piece.
@@ -447,16 +438,17 @@ class FlowPointBatch:
 
 @dataclass
 class FlowDiag:
-    """Side-channel statistics from exact event stepping."""
+    """Side-channel statistics from exact event stepping: the points handed
+    to the map (or its inverse) and the least distance from a landed point
+    to a piece boundary."""
 
     crossings: int = 0
-    nudges: int = 0
     min_boundary_dist: float = math.inf
 
-    def merge(self, other: "FlowDiag") -> None:
-        self.crossings += other.crossings
-        self.nudges += other.nudges
-        self.min_boundary_dist = min(self.min_boundary_dist, other.min_boundary_dist)
+    def add(self, dist: np.ndarray) -> None:
+        """Record landed points by their distances to a piece boundary."""
+        self.crossings += dist.size
+        self.min_boundary_dist = min(self.min_boundary_dist, float(dist.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +472,6 @@ class SuspensionFlow:
             total = Fraction(0)
             for i, p in enumerate(self.base.pieces):
                 total += pg.integrate_quadratic(self.roof.coeffs[i], p.polygon)
-            self.volume_exact = total
             return float(total)
         return float(self.roof.volume_estimate)
 
@@ -505,52 +496,23 @@ class SuspensionFlow:
             raise ValueError(f"z = {z[i]} outside [0, {tau[i]})")
         return FlowPointBatch(x, y, z, pid)
 
-    # -- scalar evolution ----------------------------------------------------
+    # -- evolution ------------------------------------------------------------
 
     def forward(self, p: FlowPoint, t: float, diag: FlowDiag | None = None) -> FlowPoint:
-        if not math.isfinite(t) or t < 0:
-            raise NonFinite(f"forward time must be finite and >= 0, got {t!r}")
-        x, y, z, pid = p.x, p.y, p.z, p.piece_id
-        remaining = float(t)
-        while True:
-            tau = self.roof.tau(x, y, pid)
-            gap = tau - z
-            if remaining < gap:
-                return FlowPoint(x, y, z + remaining, pid)
-            remaining -= gap
-            x, y, pid = self.base.apply(x, y)
-            z = 0.0
-            d = float(self.base.distance_to_boundary_arrays(np.asarray([x]), np.asarray([y]))[0])
-            if diag is not None:
-                diag.crossings += 1
-                diag.min_boundary_dist = min(diag.min_boundary_dist, d)
-            if d < NUDGE:
-                x = (x + NUDGE) % 1.0
-                y = (y + NUDGE) % 1.0
-                pid = self.base.piece_of(x, y)
-                if diag is not None:
-                    diag.nudges += 1
+        """forward_arrays on the batch of one point p."""
+        return FlowPointBatch(*self.forward_arrays([p.x], [p.y], [p.z], [p.piece_id], t, diag))[0]
 
     def backward(self, p: FlowPoint, t: float, diag: FlowDiag | None = None) -> FlowPoint:
-        if not math.isfinite(t) or t < 0:
-            raise NonFinite(f"backward time must be finite and >= 0, got {t!r}")
-        x, y, z, pid = p.x, p.y, p.z, p.piece_id
-        remaining = float(t)
-        while True:
-            if remaining <= z:
-                return FlowPoint(x, y, z - remaining, pid)
-            remaining -= z
-            x, y, pid = self.base.apply_inverse(x, y)
-            z = self.roof.tau(x, y, pid)
-            if diag is not None:
-                diag.crossings += 1
-                d = float(self.base.distance_to_boundary_arrays(np.asarray([x]), np.asarray([y]))[0])
-                diag.min_boundary_dist = min(diag.min_boundary_dist, d)
+        """backward_arrays on the batch of one point p."""
+        return FlowPointBatch(*self.backward_arrays([p.x], [p.y], [p.z], [p.piece_id], t, diag))[0]
 
-    # -- vector evolution ----------------------------------------------------
+    def forward_arrays(self, x, y, z, pid, t, diag: FlowDiag | None = None):
+        """Evolve arrays of points forward by t (scalar or per-point array).
 
-    def forward_arrays(self, x, y, z, pid, t):
-        """Evolve arrays of points forward by t (scalar or per-point array)."""
+        A point that reaches its roof lands at z = 0 on its image under the
+        map, in the piece that claims the image, also when the image lies
+        on a piece boundary.  diag, when given, records every landing.
+        """
         x = np.array(x, dtype=float, copy=True)
         y = np.array(y, dtype=float, copy=True)
         z = np.array(z, dtype=float, copy=True)
@@ -572,8 +534,13 @@ class SuspensionFlow:
             nx, ny, npid = self.base.apply_arrays(x[cross], y[cross])
             x[cross], y[cross], pid[cross] = nx, ny, npid
             z[cross] = 0.0
+            if diag is not None:
+                diag.add(self.base.distance_to_boundary_arrays(nx, ny))
 
-    def backward_arrays(self, x, y, z, pid, t):
+    def backward_arrays(self, x, y, z, pid, t, diag: FlowDiag | None = None):
+        """Evolve arrays of points backward by t; z = 0 belongs to the
+        current box, so any backward motion from the section crosses it.
+        diag, when given, records every landing."""
         x = np.array(x, dtype=float, copy=True)
         y = np.array(y, dtype=float, copy=True)
         z = np.array(z, dtype=float, copy=True)
@@ -590,9 +557,19 @@ class SuspensionFlow:
             z[stay] -= rem[stay]
             rem[stay] = 0.0
             rem[jump] -= z[jump]
-            nx, ny, npid = self.base.apply_inverse_arrays(x[jump], y[jump])
-            x[jump], y[jump], pid[jump] = nx, ny, npid
-            z[jump] = self.roof.tau_arrays(nx, ny, npid)
+            nx, ny, nz, npid = self._step_back(x[jump], y[jump])
+            x[jump], y[jump], z[jump], pid[jump] = nx, ny, nz, npid
+            if diag is not None:
+                diag.add(self.base.distance_to_boundary_arrays(nx, ny))
+
+    def _step_back(self, x, y):
+        """Inverse map step of section points (x, y), landing under the
+        preimage's roof: (x', y', tau(x', y'), piece id)."""
+        nx, ny, npid = self.base.apply_inverse_arrays(x, y)
+        if np.any(npid < 0):
+            i = int(np.argmax(npid < 0))
+            raise ValueError(f"no inverse piece claims ({x[i]}, {y[i]})")
+        return nx, ny, self.roof.tau_arrays(nx, ny, npid), npid
 
     def backward_orbit_eval(self, x, y, z, pid, ts):
         """Positions (x, y, z, pid), each of shape (len(x), len(ts)), of the
@@ -608,13 +585,9 @@ class SuspensionFlow:
         his = [levels[0][4] + levels[0][2]]
         act = np.nonzero(his[0] < (ts[-1] if m else -math.inf))[0]
         while act.size:
-            px, py = levels[-1][0, act], levels[-1][1, act]
-            nx, ny, npid = self.base.apply_inverse_arrays(px, py)
-            if np.any(npid < 0):
-                i = int(np.argmax(npid < 0))
-                raise ValueError(f"no inverse piece claims ({px[i]}, {py[i]})")
+            nx, ny, nz, npid = self._step_back(levels[-1][0, act], levels[-1][1, act])
             nxt = np.zeros((5, n))
-            nxt[:, act] = nx, ny, self.roof.tau_arrays(nx, ny, npid), npid, his[-1][act]
+            nxt[:, act] = nx, ny, nz, npid, his[-1][act]
             hi = np.full(n, math.inf)
             hi[act] = nxt[4, act] + nxt[2, act]
             levels.append(nxt)
@@ -650,12 +623,12 @@ class SuspensionFlow:
             x, y = x_next, y_next
         return itinerary, total, (x, y)
 
-    def sample_invariant(self, seed: int, n: int, threads: int = 1) -> FlowPointBatch:
+    def sample_invariant(self, seed: int, n: int) -> FlowPointBatch:
         """Rejection sampling of the normalized invariant volume on X0.
 
         (x, y) uniform on the torus, z uniform on [0, tau_max], accepted when
-        z < tau(x, y).  Chunked counter-based streams: the k-th accepted
-        sample is the same for any worker count.
+        z < tau(x, y).  Chunked counter-based streams: the samples depend
+        only on (seed, n).
         """
         if n < 1:
             raise ValueError("n >= 1 required")
@@ -711,27 +684,6 @@ class SuspensionFlow:
 def standard_flow(tau_minus: float = 1.0) -> SuspensionFlow:
     base = standard_map()
     return SuspensionFlow(base, build_roof(base, tau_minus), label="f0")
-
-
-# ---------------------------------------------------------------------------
-# function-style wrappers over the SuspensionFlow methods
-# ---------------------------------------------------------------------------
-
-
-def flow_forward(flow: SuspensionFlow, p: FlowPoint, t: float, diag: FlowDiag | None = None) -> FlowPoint:
-    return flow.forward(p, t, diag)
-
-
-def flow_backward(flow: SuspensionFlow, p: FlowPoint, t: float, diag: FlowDiag | None = None) -> FlowPoint:
-    return flow.backward(p, t, diag)
-
-
-def return_map(flow: SuspensionFlow, base_point):
-    return flow.return_map(base_point)
-
-
-def sample_invariant(flow: SuspensionFlow, seed: int, n: int) -> FlowPointBatch:
-    return flow.sample_invariant(seed, n)
 
 
 # ---------------------------------------------------------------------------
@@ -799,9 +751,6 @@ class PerturbedTorusMap:
     def piece_of(self, x, y) -> int:
         return int(self.piece_of_arrays(np.asarray([x]), np.asarray([y]))[0])
 
-    def label_of(self, pid: int) -> tuple[int, int, int]:
-        return self._labels[pid]
-
     def apply_arrays(self, x, y):
         branch, k, m = self.label_arrays(x, y)
         f1, f2, _ = self.lift_components(x, y, branch, m)
@@ -826,7 +775,7 @@ class PerturbedTorusMap:
         g = 2.0 * np.pi * self.epsilon * np.cos(2.0 * np.pi * x)
         return np.array([[1.0 + g, 1.0], [0.5 + 1.5 * g, 1.5]])
 
-    def sample_jacobians(self, n: int = 64, seed: int = 0) -> list[np.ndarray]:
+    def sample_jacobians(self, n: int = 64) -> list[np.ndarray]:
         xs = (np.arange(n) + 0.5) / n
         return [self.jacobian_at(float(x), 0.0) for x in xs]
 
@@ -948,7 +897,6 @@ class PerturbedRoof:
         pid = self.pmap.piece_of_arrays(gx, gy)
         full = self.tau_arrays(gx, gy, pid)
         self.tau_max = float(full.max()) * (1.0 + 1e-3) + 1e-6
-        self.inf_estimate = float(full.min())
         self.volume_estimate = float(full[: grid * grid].mean())  # midpoint rule
 
     def _check_path_independence(self, n: int = 24, tol: float = 1e-8):
@@ -963,7 +911,6 @@ class PerturbedRoof:
                 raise PathDependence(
                     f"branch {b}: L-path integrals disagree by {resid:.3e} > {tol:.1e}"
                 )
-            self.path_residual = resid
 
     def _const_for(self, b: int, m: int) -> float:
         key = (b, m)

@@ -540,8 +540,7 @@ def _column_roof_max(flow, nx: int, ny: int) -> np.ndarray:
     return out * 1.02
 
 
-def ulam_build(flow, t, partition, samples_per_cell: int, seed: int,
-               threads: int = 1) -> UlamModel:
+def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamModel:
     """Row-stochastic transition matrix of the time-t map by per-cell MC.
 
     Cells entirely above the roof are dropped from the state space.  Kept
@@ -550,8 +549,7 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int,
     volume and dropped too (counted in ``n_dropped``), one that yields some
     but not all keeps its reduced row (counted in ``n_starved``).
     EmptyCell is raised only if mass is mapped into a dropped cell.
-    ``threads`` is a scheduling hint; per-cell counter-based streams make
-    the result identical for any value.
+    Per-cell counter-based streams make the result depend only on ``seed``.
     """
     t = float(t)
     nx, ny, nz = (int(d) for d in partition)
@@ -731,14 +729,14 @@ class CorrelationSeries:
 
 
 def correlation(flow, psi1: Observable, psi2: Observable, t_grid, n_samples: int,
-                seed: int, n_batches: int = 64, threads: int = 1) -> CorrelationSeries:
+                seed: int, n_batches: int = 64) -> CorrelationSeries:
     """Covariance of psi1 with psi2 advanced by each grid time.
 
     One seeded invariant sample set is shared across the grid (common random
     numbers); the evolving copy advances through the sorted times.  The
     estimate at each time is the mean of per-batch covariances over
     contiguous sample blocks, the standard error their spread.  Results
-    depend only on ``(seed, n_samples)``; ``threads`` is a scheduling hint.
+    depend only on ``(seed, n_samples)``.
     """
     t_grid = np.asarray(list(t_grid), dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -750,7 +748,7 @@ def correlation(flow, psi1: Observable, psi2: Observable, t_grid, n_samples: int
         raise ValueError("n_samples >= 2 required")
     n_batches = max(1, min(int(n_batches), n))
 
-    batch = flow.sample_invariant(seed, n, threads=threads)
+    batch = flow.sample_invariant(seed, n)
     v1 = psi1.values(batch)
     bounds = (np.arange(n_batches, dtype=np.int64) * n) // n_batches
     sizes = np.diff(np.append(bounds, n))

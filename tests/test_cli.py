@@ -86,12 +86,6 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_threads_must_be_positive():
-    cfg = ExperimentConfig.from_json_dict({"experiment": "leafstats"})
-    with pytest.raises(ConfigError, match="threads"):
-        run(cfg, threads=0)
-
-
 def test_perturbed_flow_construction():
     cfg = ExperimentConfig.from_json_dict(
         {"experiment": "verify",

@@ -11,9 +11,6 @@ from contactflow import (
     PathDependence,
     build_perturbed_map,
     build_roof,
-    flow_backward,
-    flow_forward,
-    return_map,
     single_piece_map,
     standard_flow,
     standard_map,
@@ -148,14 +145,14 @@ def test_non_symplectic_piece_rejected():
 
 def test_flow_forward_below_roof_is_translation(flow):
     p = flow.flow_point(0.3, 0.4, 0.2)
-    q = flow_forward(flow, p, 0.5)
+    q = flow.forward(p, 0.5)
     assert (q.x, q.y, q.z) == (0.3, 0.4, 0.7)
 
 
 def test_flow_forward_crossing_lands_on_image(flow):
     tau = flow.roof.tau(0.1, 0.2, flow.base.piece_of(0.1, 0.2))
     p = flow.flow_point(0.1, 0.2, 0.0)
-    q = flow_forward(flow, p, tau)
+    q = flow.forward(p, tau)
     assert q.x == pytest.approx(0.3, abs=1e-12)
     assert q.y == pytest.approx(0.35, abs=1e-12)
     assert q.z == pytest.approx(0.0, abs=1e-12)
@@ -164,7 +161,7 @@ def test_flow_forward_crossing_lands_on_image(flow):
 def test_flow_forward_rejects_non_finite(flow):
     p = flow.flow_point(0.3, 0.4, 0.2)
     with pytest.raises(Exception):
-        flow_forward(flow, p, float("nan"))
+        flow.forward(p, float("nan"))
 
 
 def test_semigroup_and_inversion_vectorized(flow):
@@ -195,8 +192,8 @@ def test_semigroup_and_inversion_vectorized(flow):
 def test_semigroup_single_point(t1, t2):
     flow = standard_flow()
     p = flow.flow_point(0.37, 0.21, 0.6)
-    one = flow_forward(flow, p, t1 + t2)
-    two = flow_forward(flow, flow_forward(flow, p, t1), t2)
+    one = flow.forward(p, t1 + t2)
+    two = flow.forward(flow.forward(p, t1), t2)
     assert abs(wrap_diff(one.x, two.x)) < 1e-10
     assert abs(wrap_diff(one.y, two.y)) < 1e-10
     assert abs(one.z - two.z) < 1e-10
@@ -205,7 +202,7 @@ def test_semigroup_single_point(t1, t2):
 def test_backward_at_section_jumps_first(flow):
     # z = 0 belongs to the current box, so any backward motion crosses
     p = flow.flow_point(0.3, 0.35, 0.0)
-    q = flow_backward(flow, p, 1e-9)
+    q = flow.backward(p, 1e-9)
     bx, by, _ = flow.base.apply_inverse(0.3, 0.35)
     assert q.x == pytest.approx(bx, abs=1e-6)
     assert q.y == pytest.approx(by, abs=1e-6)
@@ -239,23 +236,46 @@ def test_backward_orbit_eval_matches_reference_walk(flow_name, request):
             assert len(crossings) > 1
 
 
-def test_backward_orbit_eval_rejects_unclaimed_start(flow):
+@pytest.mark.parametrize("kernel", ["backward_orbit_eval", "backward_arrays"])
+def test_backward_orbit_eval_rejects_unclaimed_start(flow, kernel):
     pid = flow.base.piece_of(0.3, 0.4)
+    t = np.linspace(0.0, 3.0, 10) if kernel == "backward_orbit_eval" else 3.0
     with pytest.raises(ValueError, match="no inverse piece claims"):
-        flow.backward_orbit_eval(np.array([0.3, np.nan]), np.array([0.4, 0.4]),
-                                 np.array([0.2, 0.2]), np.array([pid, pid]),
-                                 np.linspace(0.0, 3.0, 10))
+        getattr(flow, kernel)(np.array([0.3, np.nan]), np.array([0.4, 0.4]),
+                              np.array([0.2, 0.2]), np.array([pid, pid]), t)
 
 
 def test_flow_diag_counts_crossings(flow):
     tau = flow.roof.tau(0.1, 0.2, flow.base.piece_of(0.1, 0.2))
     diag = FlowDiag()
-    flow_forward(flow, flow.flow_point(0.1, 0.2, 0.0), tau + 0.1, diag)
+    flow.forward(flow.flow_point(0.1, 0.2, 0.0), tau + 0.1, diag)
     assert diag.crossings == 1
+    b = flow.flow_points([0.1, 0.2, 0.3], [0.2, 0.6, 0.4], [0.0, 0.0, 0.5])
+    t = 3.0 * (flow.roof.tau_arrays(b.x, b.y, b.piece_id) - b.z)
+    diags = {}
+    for scalar, kernel in ((flow.forward, flow.forward_arrays),
+                           (flow.backward, flow.backward_arrays)):
+        summed, diag = FlowDiag(), FlowDiag()
+        for i in range(len(b)):
+            scalar(b[i], t[i], summed)
+        kernel(b.x, b.y, b.z, b.piece_id, t, diag)
+        assert diag == summed and diag.crossings > len(b)
+        diags[kernel.__name__] = diag
+    # (0.2, 0.6, 0) flowed by its roof height lands on a piece boundary
+    assert diags["forward_arrays"].min_boundary_dist < 1e-15
+
+
+def test_scalar_and_batch_agree_on_a_boundary_hit(flow):
+    p = flow.flow_point(0.2, 0.6, 0.0)
+    t = flow.roof.tau(p.x, p.y, p.piece_id)
+    q = flow.forward(p, t)
+    x, y, z, pid = flow.forward_arrays([p.x], [p.y], [p.z], [p.piece_id], t)
+    assert (q.x, q.y, q.z, q.piece_id) == (x[0], y[0], z[0], pid[0])
+    assert q.piece_id == 3
 
 
 def test_return_map_time_is_roof_value(flow):
-    (ix, iy), rt, pid = return_map(flow, (0.1, 0.2))
+    (ix, iy), rt, pid = flow.return_map((0.1, 0.2))
     assert rt == flow.roof.tau(0.1, 0.2, pid)
     assert (ix, iy) == pytest.approx((0.3, 0.35), abs=1e-15)
 
@@ -266,7 +286,7 @@ def test_return_map_iterated_accumulates_roof(flow):
     acc = 0.0
     cur = pt
     for k in range(6):
-        img, rt, pid = return_map(flow, cur)
+        img, rt, pid = flow.return_map(cur)
         assert itinerary[k] == pid
         acc += rt
         cur = img
@@ -282,10 +302,10 @@ def test_return_map_area_preserving_by_finite_differences(flow):
         x, y = rng.random(2)
         if flow.min_distance_to_discontinuity(np.array([x]), np.array([y]))[0] < 10 * h:
             continue
-        (fx, fy), _, _ = return_map(flow, (x, y))
+        (fx, fy), _, _ = flow.return_map((x, y))
         jac = np.empty((2, 2))
         for j, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
-            (px, py), _, _ = return_map(flow, (x + dx, y + dy))
+            (px, py), _, _ = flow.return_map((x + dx, y + dy))
             jac[0, j] = wrap_diff(px, fx) / h
             jac[1, j] = wrap_diff(py, fy) / h
         assert abs(abs(np.linalg.det(jac)) - 1.0) < 1e-6
@@ -317,11 +337,13 @@ def test_sample_invariant_z_uniform_in_cell(flow):
     assert abs(np.mean(zs) - tau_mid / 2.0) < 3 * se + 0.01 * tau_mid
 
 
-def test_sample_invariant_thread_count_invariant(flow):
-    a = flow.sample_invariant(59, 40_000, threads=1)
-    b = flow.sample_invariant(59, 40_000, threads=2)
+def test_sample_invariant_depends_only_on_seed(flow):
+    a = flow.sample_invariant(59, 40_000)
+    b = flow.sample_invariant(59, 40_000)
+    c = flow.sample_invariant(60, 40_000)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     assert np.array_equal(a.z, b.z) and np.array_equal(a.piece_id, b.piece_id)
+    assert not np.array_equal(a.x, c.x)
 
 
 def test_box_mass_preserved_under_flow(flow):
