@@ -1,4 +1,6 @@
-"""Gauss-Legendre quadrature helpers (cached nodes, composite panels)."""
+"""Numeric helpers shared across modules: Gauss-Legendre quadrature (cached
+nodes, composite panels), the smooth bump, the torus offset and the
+round-trip float format of every CSV artifact."""
 
 from __future__ import annotations
 
@@ -38,3 +40,22 @@ def composite_panels(t_max: float, nodes_per_unit: int) -> tuple[np.ndarray, np.
         ts.append(x)
         ws.append(w)
     return np.concatenate(ts), np.concatenate(ws)
+
+
+def bump(u: np.ndarray) -> np.ndarray:
+    """exp(1 - 1/(1 - u^2)) for |u| < 1, zero outside."""
+    out = np.zeros_like(u, dtype=float)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+    return out
+
+
+def wrap_delta(d):
+    """Offset folded to [-1/2, 1/2): nearest representative on the torus."""
+    return (d + 0.5) % 1.0 - 0.5
+
+
+def fmt17(v) -> str:
+    """Shortest-safe round-trip text of a float (17 significant digits)."""
+    return f"{float(v):.17g}"

@@ -8,8 +8,6 @@ count.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 DEFAULT_CHUNK = 1 << 18
@@ -20,13 +18,3 @@ def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(seq))
 
-
-def chunk_bounds(n: int, chunk: int = DEFAULT_CHUNK) -> Iterator[tuple[int, int, int]]:
-    """Yield (chunk_index, start, stop) covering range(n) in fixed chunks."""
-    i = 0
-    start = 0
-    while start < n:
-        stop = min(start + chunk, n)
-        yield i, start, stop
-        i += 1
-        start = stop

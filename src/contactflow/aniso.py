@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._quadrature import bump, fmt17
 from .errors import HypothesisViolation, SupportEscape
 
 AXIS_ROLES = ("u", "s", "0")
@@ -359,14 +360,6 @@ def symbol_growth_diagnostic(r: float, s: float, q: float,
 # closed-form bumps and hyperbolic composition
 
 
-def _bump_profile(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u, dtype=float)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-    return out
-
-
 @dataclass(frozen=True)
 class CubeBump:
     """Smooth compactly supported product bump on the cube, evaluable
@@ -387,9 +380,9 @@ class CubeBump:
     def __call__(self, x0, x1, x2):
         c = self.center
         h = self.halfwidths
-        val = _bump_profile((np.asarray(x0, dtype=float) - c[0]) / h[0])
-        val = val * _bump_profile((np.asarray(x1, dtype=float) - c[1]) / h[1])
-        val = val * _bump_profile((np.asarray(x2, dtype=float) - c[2]) / h[2])
+        val = bump((np.asarray(x0, dtype=float) - c[0]) / h[0])
+        val = val * bump((np.asarray(x1, dtype=float) - c[1]) / h[1])
+        val = val * bump((np.asarray(x2, dtype=float) - c[2]) / h[2])
         return self.amplitude * val
 
     def as_grid(self, n: int, length: float, axes=AXIS_ROLES) -> GridFunction3:
@@ -446,14 +439,6 @@ class CompositionReport:
     bound_two_term: float
     c_sharp_emp: float
     ratio_unconditional: float
-
-    def to_json_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "r", "s", "q", "r_prime", "s_prime", "au", "bs", "n", "length",
-            "m_factor", "det", "norm_w", "norm_w_lower", "norm_mapped",
-            "bound_two_term", "c_sharp_emp", "ratio_unconditional")}
-        d["transform_convention"] = TRANSFORM_CONVENTION
-        return d
 
 
 def check_composition_contraction(w: CubeBump, dmap: HyperbolicBlockMap,
@@ -585,14 +570,6 @@ class MultiplierReport:
     bounded_under_refinement: bool
     hypothesis_messages: list = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "r", "s", "q", "admissible", "t_stable", "t_unstable", "rows",
-            "max_rel_change", "bounded_under_refinement",
-            "hypothesis_messages")}
-        d["transform_convention"] = TRANSFORM_CONVENTION
-        return d
-
 
 def check_multiplier_charfun(half: HalfSpace, r: float, s: float, q: float,
                              bumps, ns=(64, 128), length: float = 4.0,
@@ -653,7 +630,7 @@ def write_sweep_csv(path, rows):
         writer = csv.DictWriter(fh, fieldnames=cols)
         writer.writeheader()
         for row in rows:
-            writer.writerow({c: f"{row[c]:.17g}" if isinstance(row[c], float)
+            writer.writerow({c: fmt17(row[c]) if isinstance(row[c], float)
                              else row[c] for c in cols})
 
 

@@ -22,16 +22,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import hyperbolicity
-from ._quadrature import gl_interval, gl_rule
+from ._quadrature import bump, fmt17, gl_interval, gl_rule
 from .errors import ChartBoundary, PieceExplosion
 from .flow import FlowPoint
 from .transfer import ResolventParams, cabs, resolvent_power_points
-
-_FMT = "{:.17g}"
-
-
-def _fmt(v) -> str:
-    return _FMT.format(float(v))
 
 
 def _as_point_tuple(flow, w):
@@ -47,14 +41,6 @@ def _as_point_tuple(flow, w):
 # ---------------------------------------------------------------------------
 
 
-def _bump_1d(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u, dtype=float)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _bump_mass_1d(n_nodes: int = 96) -> float:
     """Mass of exp(1 - 1/(1-u^2)) on [-1, 1] by Gauss quadrature.
@@ -63,7 +49,7 @@ def _bump_mass_1d(n_nodes: int = 96) -> float:
     mollifier normalization constant.
     """
     nodes, weights = gl_rule(n_nodes)
-    return float(np.sum(weights * _bump_1d(nodes)))
+    return float(np.sum(weights * bump(nodes)))
 
 
 @dataclass(frozen=True)
@@ -85,7 +71,7 @@ class MollifierSpec:
             raise ValueError("need at least 4 quadrature nodes per axis")
 
     def eta_1d(self, u) -> np.ndarray:
-        return _bump_1d(np.asarray(u, dtype=float)) / _bump_mass_1d()
+        return bump(np.asarray(u, dtype=float)) / _bump_mass_1d()
 
     def eta(self, u, v, w) -> np.ndarray:
         return self.eta_1d(u) * self.eta_1d(v) * self.eta_1d(w)
@@ -117,7 +103,7 @@ def _mollify_tensor(psi, eps, wx, wy, wz, n, flow):
     z = wz - eps * t
     wgt = (weights[:, None, None] * weights[None, :, None]
            * weights[None, None, :])
-    eta = (_bump_1d(nodes) / _bump_mass_1d())
+    eta = (bump(nodes) / _bump_mass_1d())
     density = eta[:, None, None] * eta[None, :, None] * eta[None, None, :]
     xb = np.broadcast_to(x, (n, n, n))
     yb = np.broadcast_to(y, (n, n, n))
@@ -175,9 +161,7 @@ def mollify(psi, spec: MollifierSpec, w, flow=None, strict: bool = False):
 
 def stable_direction(base_map) -> tuple:
     """Contracting eigendirection of the base linear part, scaled to e1 = 1."""
-    mats = base_map.piece_matrices() if hasattr(base_map, "piece_matrices") \
-        else base_map.sample_jacobians()
-    vals, vecs = np.linalg.eig(np.asarray(mats[0], dtype=float))
+    vals, vecs = np.linalg.eig(np.asarray(base_map.sample_jacobians()[0], dtype=float))
     if np.any(np.abs(vals.imag) > 1e-12):
         raise ValueError("base linear part has complex eigenvalues")
     i = int(np.argmin(np.abs(vals.real)))
@@ -546,17 +530,17 @@ def dolgopyat_m_sweep(flow, psi, params: DolgopyatParams, ms=(1, 2, 3, 4),
 
 def write_dolgopyat_csv(path, table: DolgopyatTable):
     with open(path, "w", newline="") as fh:
-        fh.write(f"# a={_fmt(table.a)} m={table.m} gamma={_fmt(table.gamma)} "
-                 f"nu_a={_fmt(table.nu_a)} lambda_bar={_fmt(table.lambda_bar)} "
+        fh.write(f"# a={fmt17(table.a)} m={table.m} gamma={fmt17(table.gamma)} "
+                 f"nu_a={fmt17(table.nu_a)} lambda_bar={fmt17(table.lambda_bar)} "
                  f"n_points={table.n_points} seed={table.seed}\n")
         writer = csv.writer(fh)
         writer.writerow(["b", "delta", "sup_value", "trivial_bound", "ratio",
                          "gamma0_hat_running", "error_budget", "flagged"])
         for r in table.rows:
             writer.writerow([
-                _fmt(r.b), _fmt(r.delta), _fmt(r.sup_value),
-                _fmt(r.trivial_bound), _fmt(r.ratio),
-                _fmt(r.gamma0_hat_running), _fmt(r.error_budget),
+                fmt17(r.b), fmt17(r.delta), fmt17(r.sup_value),
+                fmt17(r.trivial_bound), fmt17(r.ratio),
+                fmt17(r.gamma0_hat_running), fmt17(r.error_budget),
                 int(r.flagged)])
 
 
@@ -751,12 +735,12 @@ def stable_decomposition_stats(flow, delta: float, r: float, ell_max: int,
 
 def write_decomposition_csv(path, stats: DecompositionStats):
     with open(path, "w", newline="") as fh:
-        fh.write(f"# delta={_fmt(stats.delta)} r={_fmt(stats.r)} "
-                 f"step={_fmt(stats.step)} "
-                 f"max_piece_len={_fmt(stats.max_piece_len)} "
+        fh.write(f"# delta={fmt17(stats.delta)} r={fmt17(stats.r)} "
+                 f"step={fmt17(stats.step)} "
+                 f"max_piece_len={fmt17(stats.max_piece_len)} "
                  f"seed={stats.seed}\n")
         writer = csv.writer(fh)
         writer.writerow(["ell", "piece_count", "boundary_mass_r"])
         for row in stats.rows:
             writer.writerow([row["ell"], row["piece_count"],
-                             _fmt(row["boundary_mass_r"])])
+                             fmt17(row["boundary_mass_r"])])

@@ -36,6 +36,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -48,6 +49,7 @@ from contactflow import __version__
 from contactflow import aniso
 from contactflow import averaging
 from contactflow import transfer
+from contactflow._quadrature import fmt17, wrap_delta
 from contactflow._rng import spawn_rng
 from contactflow.errors import ConfigError, ContactFlowError
 from contactflow.flow import (
@@ -333,6 +335,9 @@ class ExperimentConfig:
         eps = _validate_param("flow.epsilon", "float", fdata.get("epsilon", 0.0))
         if fmap == "f0" and eps != 0.0:
             raise ConfigError("flow.epsilon: must be 0 when flow.map is f0")
+        # closedness and complexity read the exact rational pieces of f0
+        if fmap == "perturbed" and exp in ("verify", "complexity"):
+            raise ConfigError(f"flow.map: {exp} needs the exact map \"f0\"")
         tau_minus = _validate_param("flow.tau_minus", "float",
                                     fdata.get("tau_minus", 1.0))
         if tau_minus <= 0:
@@ -439,6 +444,14 @@ class CheckResult:
                 "detail": self.detail}
 
 
+def _check(checks: list, cfg: ExperimentConfig, name: str, value,
+           detail: str = "", passes=operator.le) -> None:
+    """Record check name as passes(value, tolerance), with the tolerance
+    configured for name."""
+    tol = cfg.tolerance(name)
+    checks.append(CheckResult(name, passes(value, tol), value, tol, detail))
+
+
 @dataclass
 class RunManifest:
     experiment: str
@@ -508,18 +521,12 @@ class ArtifactWriter:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
+    return fmt17(v) if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------
 # verify experiment
 # ---------------------------------------------------------------------------
-
-
-def _wrap_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a - b + 0.5) % 1.0 - 0.5
 
 
 def _closedness_exact(flow: SuspensionFlow) -> tuple[bool, str]:
@@ -606,15 +613,15 @@ def _contact_invariance_residual(flow: SuspensionFlow, n_valid: int,
         tau_e = flow.roof.tau_arrays(xc, yc, pc)
         ok = (pre & (pp == pc) & (pm == pc)
               & (zc > margin) & (zc < tau_e - margin)
-              & (np.abs(_wrap_diff(xp, xc)) < 1e-3)
-              & (np.abs(_wrap_diff(xm, xc)) < 1e-3)
-              & (np.abs(_wrap_diff(yp, yc)) < 1e-3)
-              & (np.abs(_wrap_diff(ym, yc)) < 1e-3)
+              & (np.abs(wrap_delta(xp - xc)) < 1e-3)
+              & (np.abs(wrap_delta(xm - xc)) < 1e-3)
+              & (np.abs(wrap_delta(yp - yc)) < 1e-3)
+              & (np.abs(wrap_delta(ym - yc)) < 1e-3)
               & (np.abs(zp - zc) < 1e-3) & (np.abs(zm - zc) < 1e-3))
         if not np.any(ok):
             continue
-        wx = _wrap_diff(xp[ok], xm[ok]) / (2 * h)
-        wy = _wrap_diff(yp[ok], ym[ok]) / (2 * h)
+        wx = wrap_delta(xp[ok] - xm[ok]) / (2 * h)
+        wy = wrap_delta(yp[ok] - ym[ok]) / (2 * h)
         wz = (zp[ok] - zm[ok]) / (2 * h)
         res = np.abs((wz - yc[ok] * wx) - (v[2][ok] - y[ok] * v[0][ok]))
         worst = max(worst, float(res.max()))
@@ -652,13 +659,13 @@ def _semigroup_inversion(flow: SuspensionFlow, n: int, seed: int
     x1, y1, z1, p1 = flow.forward_arrays(x, y, z, pid, s + t)
     xa, ya, za, pa = flow.forward_arrays(x, y, z, pid, s)
     x2, y2, z2, p2 = flow.forward_arrays(xa, ya, za, pa, t)
-    semi = float(max(np.abs(_wrap_diff(x1, x2)).max(),
-                     np.abs(_wrap_diff(y1, y2)).max(),
+    semi = float(max(np.abs(wrap_delta(x1 - x2)).max(),
+                     np.abs(wrap_delta(y1 - y2)).max(),
                      np.abs(z1 - z2).max()))
 
     xb, yb, zb, pb = flow.backward_arrays(x1, y1, z1, p1, s + t)
-    inv = float(max(np.abs(_wrap_diff(xb, x)).max(),
-                    np.abs(_wrap_diff(yb, y)).max(),
+    inv = float(max(np.abs(wrap_delta(xb - x)).max(),
+                    np.abs(wrap_delta(yb - y)).max(),
                     np.abs(zb - z).max()))
     return semi, inv
 
@@ -666,7 +673,7 @@ def _semigroup_inversion(flow: SuspensionFlow, n: int, seed: int
 def _chart_residual(flow: SuspensionFlow, seed: int) -> float:
     rng = spawn_rng(seed, 14)
     pts = rng.uniform(size=(200, 2))
-    m = [[float(v) for v in row] for row in flow.base.piece_matrices()[0]]
+    m = [[float(v) for v in row] for row in flow.base.sample_jacobians()[0]]
     charts = [
         identity_chart(),
         linear_contact_chart(m),
@@ -682,9 +689,8 @@ def _run_verify(flow, prm, seed, cfg, writer, checks):
     checks.append(CheckResult("closedness", ok, 0.0 if ok else 1.0,
                               cfg.tolerance("closedness"), detail))
 
-    grad = _roof_gradient_residual(flow, prm["n_gradient"], seed)
-    checks.append(CheckResult("roof_gradient", grad <= cfg.tolerance("roof_gradient"),
-                              grad, cfg.tolerance("roof_gradient")))
+    _check(checks, cfg, "roof_gradient",
+           _roof_gradient_residual(flow, prm["n_gradient"], seed))
 
     contact, used = _contact_invariance_residual(
         flow, prm["n_contact"], seed, prm["t_lo"], prm["t_hi"])
@@ -694,32 +700,23 @@ def _run_verify(flow, prm, seed, cfg, writer, checks):
                               contact, tol, f"valid samples {used}"))
 
     zscore, detail = _volume_box_z(flow, prm["box"], prm["n_volume"], seed)
-    checks.append(CheckResult("volume_box_z", zscore <= cfg.tolerance("volume_box_z"),
-                              zscore, cfg.tolerance("volume_box_z"), detail))
+    _check(checks, cfg, "volume_box_z", zscore, detail)
 
     semi, inv = _semigroup_inversion(flow, prm["n_pairs"], seed)
-    checks.append(CheckResult("semigroup", semi <= cfg.tolerance("semigroup"),
-                              semi, cfg.tolerance("semigroup")))
-    checks.append(CheckResult("inversion", inv <= cfg.tolerance("inversion"),
-                              inv, cfg.tolerance("inversion")))
+    _check(checks, cfg, "semigroup", semi)
+    _check(checks, cfg, "inversion", inv)
 
-    chart = _chart_residual(flow, seed)
-    checks.append(CheckResult("chart_residual", chart <= cfg.tolerance("chart_residual"),
-                              chart, cfg.tolerance("chart_residual")))
+    _check(checks, cfg, "chart_residual", _chart_residual(flow, seed))
 
     cone_rep = check_cone_invariance(flow.base, Cone2(1.0),
                                      n_rays=prm["n_rays"])
-    tol = cfg.tolerance("cone_aperture")
-    checks.append(CheckResult("cone_aperture",
-                              cone_rep.max_image_aperture <= tol,
-                              cone_rep.max_image_aperture, tol,
-                              f"margin {cone_rep.margin:.3e}"))
+    _check(checks, cfg, "cone_aperture", cone_rep.max_image_aperture,
+           f"margin {cone_rep.margin:.3e}")
 
     lam_u, lam_s, _ = expansion_constants(flow.base, Cone2(prm["aperture"]))
     rel = max(abs(lam_u - 2.0) / 2.0, abs(lam_s - 0.5) / 0.5)
-    checks.append(CheckResult("expansion_rel", rel <= cfg.tolerance("expansion_rel"),
-                              rel, cfg.tolerance("expansion_rel"),
-                              f"lambda_u={lam_u:.6f} lambda_s={lam_s:.6f}"))
+    _check(checks, cfg, "expansion_rel", rel,
+           f"lambda_u={lam_u:.6f} lambda_s={lam_s:.6f}")
 
     writer.write_json("verify_report.json", {
         "checks": [c.to_json_dict() for c in checks],
@@ -752,9 +749,8 @@ def _run_correlate(flow, prm, seed, cfg, writer, checks):
 
     if control:
         band = float(np.max(np.abs(series.values) - 3.0 * series.stderr))
-        tol = cfg.tolerance("control_band")
-        checks.append(CheckResult("control_band", band <= tol, band, tol,
-                                  "max(|C| - 3 stderr) over the grid"))
+        _check(checks, cfg, "control_band", band,
+               "max(|C| - 3 stderr) over the grid")
         writer.write_json("decay_fit.json", {
             "control": True, "max_abs_c": float(np.abs(series.values).max()),
             "max_band_excess": band,
@@ -762,13 +758,10 @@ def _run_correlate(flow, prm, seed, cfg, writer, checks):
     else:
         fit = transfer.fit_decay(series, seed=seed, n_boot=prm["n_boot"],
                                  min_points=prm["min_points"])
-        checks.append(CheckResult("decay_positive",
-                                  fit.sigma_hat > cfg.tolerance("decay_positive"),
-                                  fit.sigma_hat, cfg.tolerance("decay_positive"),
-                                  f"k_hat={fit.k_hat:.3e} n_used={fit.n_used}"))
-        checks.append(CheckResult("decay_ci", fit.ci_low > cfg.tolerance("decay_ci"),
-                                  fit.ci_low, cfg.tolerance("decay_ci"),
-                                  f"ci=({fit.ci_low:.4f},{fit.ci_high:.4f})"))
+        _check(checks, cfg, "decay_positive", fit.sigma_hat,
+               f"k_hat={fit.k_hat:.3e} n_used={fit.n_used}", passes=operator.gt)
+        _check(checks, cfg, "decay_ci", fit.ci_low,
+               f"ci=({fit.ci_low:.4f},{fit.ci_high:.4f})", passes=operator.gt)
         writer.write_json("decay_fit.json", {
             "control": False, "sigma_hat": fit.sigma_hat, "k_hat": fit.k_hat,
             "ci_low": fit.ci_low, "ci_high": fit.ci_high,
@@ -794,9 +787,8 @@ def _run_resolvent(flow, prm, seed, cfg, writer, checks):
     one = transfer.constant_observable(1.0)
     rv = resolvent(one, params, 1, 20)
     worst_const = max([0.0, *transfer.cabs(rv.value - 1.0 / params.z)])
-    tol = cfg.tolerance("constant_identity")
-    checks.append(CheckResult("constant_identity", worst_const <= tol,
-                              worst_const, tol, "R(z)1 vs 1/z on 20 points"))
+    _check(checks, cfg, "constant_identity", worst_const,
+           "R(z)1 vs 1/z on 20 points")
 
     # R(z)(z psi + d_z psi) = psi: the generator acts as -d/dz inside a box
     gen = params.z * bump + bump.partial(2)
@@ -806,10 +798,8 @@ def _run_resolvent(flow, prm, seed, cfg, writer, checks):
              "value_re": v.real, "value_im": v.imag, "error_budget": e}
             for i, (v, e) in enumerate(zip(rv.value, rv.error_budget))]
     transfer.write_resolvent_csv(writer.path("resolvent_points.csv"), rows)
-    tol = cfg.tolerance("generator_identity")
-    checks.append(CheckResult("generator_identity", worst_gen <= tol,
-                              worst_gen, tol,
-                              f"{prm['n_points']} bump points"))
+    _check(checks, cfg, "generator_identity", worst_gen,
+           f"{prm['n_points']} bump points")
 
     inner = transfer.ResolventParams(a=prm["a"], b=prm["b"],
                                      nodes_per_unit=32, tolerance=5e-3)
@@ -820,20 +810,16 @@ def _run_resolvent(flow, prm, seed, cfg, writer, checks):
     nested = resolvent(inner_obs, outer, 1, prm["n_nested"]).value
     closed = resolvent(bump, params, 2, prm["n_nested"]).value
     worst_nested = max([0.0, *transfer.cabs(nested - closed)])
-    tol = cfg.tolerance("nested_agreement")
-    checks.append(CheckResult("nested_agreement", worst_nested <= tol,
-                              worst_nested, tol,
-                              f"{prm['n_nested']} points, n=2"))
+    _check(checks, cfg, "nested_agreement", worst_nested,
+           f"{prm['n_nested']} points, n=2")
 
     worst_excess = -math.inf
     for n in prm["powers"]:
         bound = bump.sup_norm / prm["a"] ** n
         v = resolvent(bump, params, n, 10).value
         worst_excess = max([worst_excess, *(transfer.cabs(v) - bound)])
-    tol = cfg.tolerance("modulus_bound")
-    checks.append(CheckResult("modulus_bound", worst_excess <= tol,
-                              worst_excess, tol,
-                              f"|R^n psi| - a^-n sup, powers {prm['powers']}"))
+    _check(checks, cfg, "modulus_bound", worst_excess,
+           f"|R^n psi| - a^-n sup, powers {prm['powers']}")
 
     writer.write_json("resolvent_report.json", {
         "a": prm["a"], "b": prm["b"],
@@ -853,16 +839,11 @@ def _run_resolvent(flow, prm, seed, cfg, writer, checks):
 def _run_ulam(flow, prm, seed, cfg, writer, checks):
     model = transfer.ulam_build(flow, prm["t"], (prm["nx"], prm["ny"], prm["nz"]),
                                 prm["samples_per_cell"], seed)
-    lead_err = abs(model.leading - 1.0)
-    tol = cfg.tolerance("ulam_leading")
-    checks.append(CheckResult("ulam_leading", lead_err <= tol, lead_err, tol))
-    tol = cfg.tolerance("ulam_second")
-    checks.append(CheckResult("ulam_second", model.second_modulus < tol,
-                              model.second_modulus, tol))
+    _check(checks, cfg, "ulam_leading", abs(model.leading - 1.0))
+    _check(checks, cfg, "ulam_second", model.second_modulus, passes=operator.lt)
     resid = model.stationary_residual()
-    tol = cfg.tolerance("ulam_residual")
-    checks.append(CheckResult("ulam_residual", resid <= tol, resid, tol,
-                              "l1 residual of the cell-volume vector"))
+    _check(checks, cfg, "ulam_residual", resid,
+           "l1 residual of the cell-volume vector")
 
     report = {
         "partition": [prm["nx"], prm["ny"], prm["nz"]],
@@ -877,9 +858,8 @@ def _run_ulam(flow, prm, seed, cfg, writer, checks):
             flow, prm["t"], (2 * prm["nx"], 2 * prm["ny"], 2 * prm["nz"]),
             prm["samples_per_cell"], seed)
         rel = abs(fine.second_modulus - model.second_modulus) / model.second_modulus
-        tol = cfg.tolerance("ulam_refine_rel")
-        checks.append(CheckResult("ulam_refine_rel", rel <= tol, rel, tol,
-                                  f"doubled second modulus {fine.second_modulus:.6f}"))
+        _check(checks, cfg, "ulam_refine_rel", rel,
+               f"doubled second modulus {fine.second_modulus:.6f}")
         report["refined_second_modulus"] = fine.second_modulus
         report["refined_n_states"] = fine.n_states
 
@@ -910,27 +890,19 @@ def _run_dolgopyat(flow, prm, seed, cfg, writer, checks):
         err = abs(val - ref)
         worst_factor = max(worst_factor, err / max(budget, 1e-300))
         anchor_rows.append({"b": b, "error": err, "budget": budget})
-    tol = cfg.tolerance("anchor_identity")
-    checks.append(CheckResult("anchor_identity", worst_factor <= tol,
-                              worst_factor, tol,
-                              "max |value - (a+ib)^-2m| / budget"))
+    _check(checks, cfg, "anchor_identity", worst_factor,
+           "max |value - (a+ib)^-2m| / budget")
 
     table = averaging.dolgopyat_experiment(flow, psi, params, prm["b_list"],
                                            eval_points=prm["eval_points"],
                                            seed=seed)
     ratios = [row.ratio for row in table.rows]
     violations = sum(1 for lo, hi in zip(ratios[1:], ratios[:-1]) if lo > hi)
-    tol = cfg.tolerance("ratio_monotone")
-    checks.append(CheckResult("ratio_monotone", violations <= tol,
-                              float(violations), tol,
-                              f"ratios {['%.3g' % r for r in ratios]}"))
-    tol = cfg.tolerance("gamma0_positive")
-    checks.append(CheckResult("gamma0_positive", table.gamma0_hat > tol,
-                              table.gamma0_hat, tol))
+    _check(checks, cfg, "ratio_monotone", float(violations),
+           f"ratios {['%.3g' % r for r in ratios]}")
+    _check(checks, cfg, "gamma0_positive", table.gamma0_hat, passes=operator.gt)
     frac = max(row.error_budget / row.sup_value for row in table.rows)
-    tol = cfg.tolerance("budget_fraction")
-    checks.append(CheckResult("budget_fraction", frac <= tol, frac, tol,
-                              "max row budget / sup value"))
+    _check(checks, cfg, "budget_fraction", frac, "max row budget / sup value")
 
     report = table.to_json_dict()
     report["anchors"] = anchor_rows
@@ -939,11 +911,9 @@ def _run_dolgopyat(flow, prm, seed, cfg, writer, checks):
             flow, psi, params, [0.0], eval_points=prm["eval_points"],
             seed=seed)
         ratio0 = base_table.rows[0].ratio
-        gap = ratio0 - ratios[0]
-        tol = cfg.tolerance("baseline_no_decay")
-        checks.append(CheckResult("baseline_no_decay", gap > tol, gap, tol,
-                                  f"ratio(0)={ratio0:.4g} vs "
-                                  f"ratio({prm['b_list'][0]:g})={ratios[0]:.4g}"))
+        _check(checks, cfg, "baseline_no_decay", ratio0 - ratios[0],
+               f"ratio(0)={ratio0:.4g} vs "
+               f"ratio({prm['b_list'][0]:g})={ratios[0]:.4g}", passes=operator.gt)
         report["baseline_ratio"] = ratio0
 
     averaging.write_dolgopyat_csv(writer.path("dolgopyat.csv"), table)
@@ -997,9 +967,7 @@ def _run_normcheck(flow, prm, seed, cfg, writer, checks):
     f = aniso.GridFunction3(vals, prm["length"], name="noise")
     flat = aniso.aniso_norm_p2(f, aniso.AnisoSymbol(0.0, 0.0, 0.0))
     rel = abs(flat - f.l2_norm()) / f.l2_norm()
-    tol = cfg.tolerance("parseval")
-    checks.append(CheckResult("parseval", rel <= tol, rel, tol,
-                              f"random grid {n0}^3"))
+    _check(checks, cfg, "parseval", rel, f"random grid {n0}^3")
 
     dmap = aniso.HyperbolicBlockMap(2.0, 0.5)
     rep = aniso.check_symbol_inequality(
@@ -1008,10 +976,8 @@ def _run_normcheck(flow, prm, seed, cfg, writer, checks):
     checks.append(CheckResult("symbol_hypotheses", rep.hypothesis_ok,
                               0.0 if rep.hypothesis_ok else 1.0, 0.0,
                               "; ".join(rep.hypothesis_messages)))
-    tol = cfg.tolerance("k_drift")
-    checks.append(CheckResult("k_drift", rep.rel_change <= tol,
-                              rep.rel_change, tol,
-                              f"K1={rep.k1:.6g} K2={rep.k2:.6g}"))
+    _check(checks, cfg, "k_drift", rep.rel_change,
+           f"K1={rep.k1:.6g} K2={rep.k2:.6g}")
     aniso.write_symbol_report_json(writer.path("symbol_report.json"), rep)
 
     w = aniso.CubeBump(tuple(prm["bump_center"]),
@@ -1020,10 +986,9 @@ def _run_normcheck(flow, prm, seed, cfg, writer, checks):
         w, dmap, prm["r"], prm["s"], prm["q"], k_max=prm["k_max"],
         n=prm["iter_n"], length=prm["length"])
     aniso.write_sweep_csv(writer.path("composition_sweep.csv"), rows)
-    excess = max(row["ratio"] - row["bound"] for row in rows)
-    tol = cfg.tolerance("composition_bound")
-    checks.append(CheckResult("composition_bound", excess <= tol, excess, tol,
-                              f"max ratio - M^k bound over k <= {prm['k_max']}"))
+    _check(checks, cfg, "composition_bound",
+           max(row["ratio"] - row["bound"] for row in rows),
+           f"max ratio - M^k bound over k <= {prm['k_max']}")
 
     wide = aniso.CubeBump(tuple(prm["bump_center"]),
                           tuple(prm["bump_halfwidths"]), name="wb")
@@ -1038,21 +1003,17 @@ def _run_normcheck(flow, prm, seed, cfg, writer, checks):
     mult = aniso.check_multiplier_charfun(
         half, rm, sm, qm, bumps, ns=tuple(prm["mult_ns"]),
         length=prm["length"], rel_tol=cfg.tolerance("multiplier_drift"))
-    tol = cfg.tolerance("multiplier_drift")
-    checks.append(CheckResult("multiplier_drift", mult.max_rel_change <= tol,
-                              mult.max_rel_change, tol,
-                              f"admissible exponents ({rm}, {sm}, {qm})"))
+    _check(checks, cfg, "multiplier_drift", mult.max_rel_change,
+           f"admissible exponents ({rm}, {sm}, {qm})")
 
     grow = aniso.check_multiplier_charfun(
         half, prm["grow_r"], sm, qm, [wide], ns=tuple(prm["mult_ns"]),
         length=prm["length"], enforce=False)
     by_n = {row["N"]: row["ratio"] for row in grow.rows}
     ns = sorted(by_n)
-    growth = by_n[ns[-1]] / by_n[ns[0]] - 1.0
-    tol = cfg.tolerance("multiplier_growth")
-    checks.append(CheckResult("multiplier_growth", growth > tol, growth, tol,
-                              f"r={prm['grow_r']} inadmissible: ratio must "
-                              f"grow under refinement"))
+    _check(checks, cfg, "multiplier_growth", by_n[ns[-1]] / by_n[ns[0]] - 1.0,
+           f"r={prm['grow_r']} inadmissible: ratio must grow under refinement",
+           passes=operator.gt)
 
     aniso.write_sweep_csv(writer.path("multiplier_sweep.csv"),
                           list(mult.rows) + list(grow.rows))
@@ -1073,9 +1034,8 @@ def _run_normcheck(flow, prm, seed, cfg, writer, checks):
 def _run_leafstats(flow, prm, seed, cfg, writer, checks):
     leaf = averaging.leaf_through(flow, tuple(prm["anchor"]), prm["delta"])
     resid = leaf.kernel_residual()
-    tol = cfg.tolerance("kernel_residual")
-    checks.append(CheckResult("kernel_residual", resid <= tol, resid, tol,
-                              "contact-kernel defect of the anchor leaf"))
+    _check(checks, cfg, "kernel_residual", resid,
+           "contact-kernel defect of the anchor leaf")
 
     step = prm["step"] if prm["step"] > 0 else None
     stats = averaging.stable_decomposition_stats(
@@ -1092,19 +1052,14 @@ def _run_leafstats(flow, prm, seed, cfg, writer, checks):
 
     incs = stats.log_count_increments()
     tail = incs[len(incs) // 2:]
-    worst_inc = max(tail) if tail else 0.0
-    tol = cfg.tolerance("growth_log_increment")
-    checks.append(CheckResult("growth_log_increment", worst_inc <= tol,
-                              worst_inc, tol,
-                              "max log piece-count increment, late steps"))
+    _check(checks, cfg, "growth_log_increment", max(tail) if tail else 0.0,
+           "max log piece-count increment, late steps")
 
     cmax = max(row["boundary_mass_r"] / prm["r"] for row in stats.rows)
     tail_max = max(row["boundary_mass_r"] / prm["r"] for row in stats.rows
                    if row["ell"] >= prm["ell_max"] // 2)
-    tol = cfg.tolerance("boundary_mass_ratio")
-    checks.append(CheckResult("boundary_mass_ratio", cmax <= tol, cmax, tol,
-                              f"max over ell of boundary mass / r "
-                              f"(late-ell max {tail_max:.3g})"))
+    _check(checks, cfg, "boundary_mass_ratio", cmax,
+           f"max over ell of boundary mass / r (late-ell max {tail_max:.3g})")
 
     writer.write_json("leafstats_report.json", {
         "kernel_residual": resid,

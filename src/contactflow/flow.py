@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _polygon as pg
-from ._rng import DEFAULT_CHUNK, chunk_bounds, spawn_rng
+from ._rng import DEFAULT_CHUNK, spawn_rng
 from ._quadrature import gl_interval
 from .errors import ClosednessViolation, NonFinite, PathDependence
 
@@ -166,14 +166,12 @@ class PiecewiseAffineTorusMap:
             raise ValueError(f"no inverse piece claims ({x}, {y})")
         return float(u[0]), float(v[0]), int(pid[0])
 
-    def jacobian(self, piece_id: int) -> np.ndarray:
-        return self._mats[piece_id].copy()
-
-    def piece_matrices(self) -> list[np.ndarray]:
-        return [p.matrix_f for p in self.pieces]
+    def jacobian_at(self, x: float, y: float) -> np.ndarray:
+        return self._mats[self.piece_of(x, y)].copy()
 
     def sample_jacobians(self) -> list[np.ndarray]:
-        return self.piece_matrices()
+        """The piece matrices, in piece order."""
+        return [p.matrix_f for p in self.pieces]
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -205,6 +203,7 @@ class PiecewiseAffineTorusMap:
 
     def describe(self) -> dict:
         return {
+            "map": "f0",
             "pieces": [
                 {
                     "name": p.name,
@@ -219,7 +218,7 @@ class PiecewiseAffineTorusMap:
         }
 
 
-def _standard_predicates(eps_own: float = 0.0):
+def _standard_predicates():
     """Membership tests for the four standard pieces (half-open, total)."""
 
     def p1a(x, y):
@@ -297,7 +296,8 @@ class RoofFunction:
     """Per-piece quadratic roof with exact rational coefficients.
 
     coeffs[i] maps the keys const, lx, ly, qxx, qxy, qyy to Fractions;
-    tau(x, y) = const + lx x + ly y + qxx x^2 + qxy x y + qyy y^2 on piece i.
+    tau(x, y) = const + lx x + ly y + qxx x^2 + qxy x y + qyy y^2 on piece i;
+    volume is the exact integral of tau over the torus.
     """
 
     coeffs: list[dict[str, Fraction]]
@@ -305,6 +305,7 @@ class RoofFunction:
     tau_max: float
     per_piece_inf: list[Fraction]
     per_piece_max: list[Fraction]
+    volume: Fraction
 
     def __post_init__(self):
         self._c = np.array(
@@ -387,6 +388,7 @@ def build_roof(base: PiecewiseAffineTorusMap, tau_minus: float) -> RoofFunction:
             coeffs[i] = ci
 
     infs, maxs = [], []
+    volume = Fraction(0)
     for i, p in enumerate(base.pieces):
         vmin, _, vmax, _ = pg.quadratic_extrema_over_polygon(coeffs[i], p.polygon)
         if vmin < tm:
@@ -395,12 +397,14 @@ def build_roof(base: PiecewiseAffineTorusMap, tau_minus: float) -> RoofFunction:
             )
         infs.append(vmin)
         maxs.append(vmax)
+        volume += pg.integrate_quadratic(coeffs[i], p.polygon)
     return RoofFunction(
         coeffs=[dict(c) for c in coeffs],
         tau_minus=float(tm),
         tau_max=float(max(maxs)),
         per_piece_inf=infs,
         per_piece_max=maxs,
+        volume=volume,
     )
 
 
@@ -463,17 +467,9 @@ class SuspensionFlow:
         self.base = base
         self.roof = roof
         self.label = label
-        self.volume = self._exact_volume()
+        self.volume = float(roof.volume)
         self.tau_max = float(roof.tau_max)
         self.tau_minus = float(roof.tau_minus)
-
-    def _exact_volume(self) -> float:
-        if hasattr(self.roof, "coeffs"):
-            total = Fraction(0)
-            for i, p in enumerate(self.base.pieces):
-                total += pg.integrate_quadratic(self.roof.coeffs[i], p.polygon)
-            return float(total)
-        return float(self.roof.volume_estimate)
 
     # -- point plumbing ------------------------------------------------------
 
@@ -666,19 +662,10 @@ class SuspensionFlow:
             rows.append((float(t), cur.x, cur.y, cur.z, cur.piece_id))
         return rows
 
-    # -- discontinuity geometry ----------------------------------------------
-
-    def min_distance_to_discontinuity(self, x, y) -> np.ndarray:
-        return self.base.distance_to_boundary_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
     # -- config ---------------------------------------------------------------
 
     def to_config(self) -> dict:
-        cfg = {"tau_minus": self.tau_minus, "label": self.label}
-        cfg.update(self.base.describe())
-        eps = getattr(self.base, "epsilon", None)
-        cfg["map"] = "f0" if eps is None else {"perturbed": eps}
-        return cfg
+        return {"tau_minus": self.tau_minus, "label": self.label, **self.base.describe()}
 
 
 def standard_flow(tau_minus: float = 1.0) -> SuspensionFlow:
@@ -805,7 +792,8 @@ class PerturbedTorusMap:
         return out
 
     def describe(self) -> dict:
-        return {"epsilon": self.epsilon, "pieces": [{"name": f"b{b}k{k}"} for b, k in self._labels]}
+        return {"map": {"perturbed": self.epsilon}, "epsilon": self.epsilon,
+                "pieces": [{"name": f"b{b}k{k}m{m}"} for b, k, m in self._labels]}
 
 
 _SHARED_STANDARD_MAP = standard_map()
@@ -897,7 +885,7 @@ class PerturbedRoof:
         pid = self.pmap.piece_of_arrays(gx, gy)
         full = self.tau_arrays(gx, gy, pid)
         self.tau_max = float(full.max()) * (1.0 + 1e-3) + 1e-6
-        self.volume_estimate = float(full[: grid * grid].mean())  # midpoint rule
+        self.volume = float(full[: grid * grid].mean())  # midpoint rule
 
     def _check_path_independence(self, n: int = 24, tol: float = 1e-8):
         rng = spawn_rng(20240901, 7)

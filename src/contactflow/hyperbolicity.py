@@ -201,7 +201,6 @@ def _word_products(mats: list[np.ndarray], n: int, cap: int = 4096, seed: int = 
     total = k ** n
     out = []
     if total <= cap:
-        idx = [0] * n
         for w in range(total):
             m = np.eye(2)
             ww = w
@@ -233,8 +232,7 @@ def expansion_constants(base_map, cone: Cone2, n: int = 1, dense_check: int = 40
         raise ConeNotInvariant(
             f"aperture grows from {cone.aperture} to {inv.max_image_aperture}"
         )
-    words = _word_products(base_map.piece_matrices() if hasattr(base_map, "piece_matrices")
-                           else base_map.sample_jacobians(), n)
+    words = _word_products(base_map.sample_jacobians(), n)
     u_rays = cone.boundary_rays()
     s_rays = cone.stable_partner().boundary_rays()
     lam_u, Lam_u, lam_s = math.inf, 0.0, 0.0
@@ -316,10 +314,7 @@ def check_transversality(flow, stable_cone: Cone2, samples_per_segment: int = 64
             s = (i + 0.5) / samples_per_segment
             x = p0[0] + s * tang[0]
             y = p0[1] + s * tang[1]
-            if hasattr(base, "jacobian_at"):
-                m = base.jacobian_at(x % 1.0, y % 1.0)
-            else:
-                m = base.jacobian(base.piece_of(x % 1.0, y % 1.0))
+            m = base.jacobian_at(x % 1.0, y % 1.0)
             w = m @ np.asarray(tang, dtype=float)
             clearance = _proj_dist(_proj_angle(w), axis) - half
             worst = min(worst, clearance)
@@ -526,12 +521,13 @@ def complexity_counts(flow, n_max: int, method: str = "exact") -> list[Complexit
     sampling: itinerary codes on a 2048^2 grid, a labeled lower bound
     (n_max <= 20).
     """
-    base = flow.base if hasattr(flow, "base") else flow
+    base = flow.base
+    # both methods read the exact pieces, which only a piecewise affine map has
+    if not hasattr(base, "pieces"):
+        raise ValueError("complexity counts need a piecewise affine map")
     if method == "exact":
         if n_max > 12:
             raise ValueError("exact method supports n_max <= 12")
-        if not hasattr(base, "pieces"):
-            raise ValueError("exact method needs a piecewise affine map")
         return _complexity_exact(base, n_max)
     if method == "sampling":
         if n_max > 20:

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import gammaincc
 
 from . import _polygon as pg
-from ._quadrature import composite_panels
+from ._quadrature import bump, composite_panels, fmt17, wrap_delta
 from ._rng import spawn_rng
 from .errors import EmptyCell, NoiseFloor, ToleranceNotMet
 from .flow import FlowPoint, FlowPointBatch
@@ -36,29 +36,12 @@ BUMP_DERIV_SUP = 2.1703571
 _BLOCK_ELEMENTS = 2 ** 16
 
 
-def _wrap_delta(d):
-    """Offset folded to (-1/2, 1/2]: nearest representative on the torus."""
-    return (d + 0.5) % 1.0 - 0.5
-
-
-def _bump(u):
-    out = np.zeros_like(u)
-    m = np.abs(u) < 1.0
-    s = 1.0 - u[m] ** 2
-    out[m] = np.exp(1.0 - 1.0 / s)
-    return out
-
-
 def _bump_deriv(u):
     out = np.zeros_like(u)
     m = np.abs(u) < 1.0
     s = 1.0 - u[m] ** 2
     out[m] = np.exp(1.0 - 1.0 / s) * (-2.0 * u[m]) / (s * s)
     return out
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +165,17 @@ def flow_box_bump(center, halfwidths, amplitude: float = 1.0,
     amp = float(amplitude)
 
     def _u(x, y, z):
-        return (_wrap_delta(x - cx) / rx,
-                _wrap_delta(y - cy) / ry,
+        return (wrap_delta(x - cx) / rx,
+                wrap_delta(y - cy) / ry,
                 (z - cz) / rz)
 
     def ev(x, y, z):
         ux, uy, uz = _u(x, y, z)
-        return amp * _bump(ux) * _bump(uy) * _bump(uz)
+        return amp * bump(ux) * bump(uy) * bump(uz)
 
     def grad(x, y, z):
         ux, uy, uz = _u(x, y, z)
-        bx, by, bz = _bump(ux), _bump(uy), _bump(uz)
+        bx, by, bz = bump(ux), bump(uy), bump(uz)
         return (amp / rx * _bump_deriv(ux) * by * bz,
                 amp / ry * bx * _bump_deriv(uy) * bz,
                 amp / rz * bx * by * _bump_deriv(uz))
@@ -232,7 +215,7 @@ def verify_lipschitz(obs: Observable, seed: int = 0, n_pairs: int = 1000) -> flo
     half = n_pairs // 2
     q[:, :half] = p[:, :half] + (rng.random((3, half)) - 0.5) * (1e-3 * span)
     dx, dy, dz = p - q
-    dist = np.sqrt(_wrap_delta(dx) ** 2 + _wrap_delta(dy) ** 2 + dz ** 2)
+    dist = np.sqrt(wrap_delta(dx) ** 2 + wrap_delta(dy) ** 2 + dz ** 2)
     ok = dist > 0.0
     slopes = np.abs(obs(*p) - obs(*q))[ok] / dist[ok]
     return float(slopes.max()) if slopes.size else 0.0
@@ -442,9 +425,9 @@ def write_resolvent_csv(path, rows: Sequence[dict]) -> None:
         wr.writerow(["point_id", "a", "b", "n", "value_re", "value_im",
                      "error_budget"])
         for r in rows:
-            wr.writerow([r["point_id"], _fmt(r["a"]), _fmt(r["b"]), r["n"],
-                         _fmt(r["value_re"]), _fmt(r["value_im"]),
-                         _fmt(r["error_budget"])])
+            wr.writerow([r["point_id"], fmt17(r["a"]), fmt17(r["b"]), r["n"],
+                         fmt17(r["value_re"]), fmt17(r["value_im"]),
+                         fmt17(r["error_budget"])])
 
 
 # ---------------------------------------------------------------------------
@@ -485,24 +468,6 @@ class UlamModel:
         v = self.volumes / self.volumes.sum()
         return float(np.abs(v @ self.matrix - v).sum())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "partition": [int(d) for d in self.partition],
-            "t": float(self.t),
-            "n_states": int(self.n_states),
-            "n_dropped": int(self.n_dropped),
-            "n_starved": int(self.n_starved),
-            "min_row_samples": int(self.min_row_samples),
-            "samples_per_cell": int(self.samples_per_cell),
-            "seed": int(self.seed),
-            "leading_re": float(self.leading.real),
-            "leading_im": float(self.leading.imag),
-            "second_modulus": float(self.second_modulus),
-            "row_sum_error": float(self.row_sum_error),
-            "eigen_moduli": [float(abs(v)) for v in self.eigenvalues],
-            "stationary_residual": float(self.stationary_residual()),
-        }
-
 
 def _column_roof_max(flow, nx: int, ny: int) -> np.ndarray:
     """Max of the roof over each (x, y) grid rectangle.
@@ -513,6 +478,7 @@ def _column_roof_max(flow, nx: int, ny: int) -> np.ndarray:
     """
     out = np.empty((nx, ny))
     base, roof = flow.base, flow.roof
+    # exact clipping needs rational pieces; perfbench benchmarks both branches
     if hasattr(roof, "coeffs") and hasattr(base, "pieces"):
         polys = [p.polygon for p in base.pieces]
         for i in range(nx):
@@ -697,8 +663,8 @@ class CorrelationSeries:
             wr = csv.writer(fh)
             wr.writerow(["t", "C_re", "C_im", "stderr"])
             for i in range(len(self.t)):
-                wr.writerow([_fmt(self.t[i]), _fmt(self.values[i].real),
-                             _fmt(self.values[i].imag), _fmt(self.stderr[i])])
+                wr.writerow([fmt17(self.t[i]), fmt17(self.values[i].real),
+                             fmt17(self.values[i].imag), fmt17(self.stderr[i])])
 
     @classmethod
     def from_csv(cls, path) -> "CorrelationSeries":

@@ -17,7 +17,7 @@ def interior_points(flow, n, seed, margin=1e-3):
     batch = flow.sample_invariant(seed, 6 * n)
     x, y, z = batch.x, batch.y, batch.z
     tau = flow.roof.tau_arrays(x, y, batch.piece_id)
-    dist = flow.min_distance_to_discontinuity(x, y)
+    dist = flow.base.distance_to_boundary_arrays(x, y)
     ok = (dist > margin) & (z > margin) & (z < tau - margin)
     idx = np.nonzero(ok)[0]
     assert idx.size >= n, f"only {idx.size} interior points at margin {margin}"

@@ -60,6 +60,17 @@ def test_epsilon_forbidden_for_unperturbed_map():
             {"experiment": "verify", "flow": {"map": "f0", "epsilon": 0.01}})
 
 
+@pytest.mark.parametrize("experiment", ["verify", "complexity"])
+def test_exact_only_experiments_reject_perturbed_flow(tmp_path, capsys,
+                                                      experiment):
+    out = tmp_path / "out"
+    path = _config(tmp_path, {"experiment": experiment, "out": str(out),
+                              "flow": {"map": "perturbed", "epsilon": 0.02}})
+    assert main([experiment, "--config", path]) == 2
+    assert "flow.map" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_validation():
     for bad in (-1, 2 ** 64, True, 1.5):
         with pytest.raises(ConfigError, match="seed"):
@@ -88,7 +99,7 @@ def test_malformed_json_exits_two(tmp_path, capsys):
 
 def test_perturbed_flow_construction():
     cfg = ExperimentConfig.from_json_dict(
-        {"experiment": "verify",
+        {"experiment": "resolvent",
          "flow": {"map": "perturbed", "epsilon": 0.02}})
     flow = cfg.build_flow()
     assert flow.tau_minus == 1.0

@@ -15,6 +15,7 @@ from contactflow import (
     standard_flow,
     standard_map,
 )
+from contactflow import _polygon as pg
 from contactflow._rng import spawn_rng
 from contactflow.flow import PerturbedRoof, PerturbedTorusMap
 from helpers import backward_orbit_reference, grid_points, interior_points, wrap_diff
@@ -44,6 +45,44 @@ def test_piece_assignment_total_and_single_valued():
     t = rng.random(200)
     pid_edge = base.piece_of_arrays(t, 1.0 - t)
     assert set(np.unique(pid_edge)) <= {0, 1}
+
+
+def test_piece_predicates_match_piece_polygons():
+    base = standard_map()
+    rng = spawn_rng(31, 0)
+    x = rng.random(4000)
+    y = rng.random(4000)
+    pid = base.piece_of_arrays(x, y)
+    checked = 0
+    for xi, yi, i in zip(x, y, pid):
+        p = (Fraction(xi), Fraction(yi))
+        closed = [pg.point_in_closed(piece.polygon, p) for piece in base.pieces]
+        if sum(closed) != 1:  # on an edge: two closures share the point
+            continue
+        assert closed.index(True) == i
+        checked += 1
+    assert checked > 3990
+    # dyadic points lie on the interior edges exactly, in floats too
+    names = [piece.name for piece in base.pieces]
+    want = {"x+y=1": {"1a", "1b"}, "x+3y=2": {"1b"}, "x+3y=3": {"2b"}}
+    seen = {key: 0 for key in want}
+    for k in range(1, 64):
+        for m in range(1, 64):
+            px, py = Fraction(k, 64), Fraction(m, 64)
+            for key, on in (("x+y=1", px + py == 1),
+                            ("x+3y=2", px + 3 * py == 2 and px + py <= 1),
+                            ("x+3y=3", px + 3 * py == 3)):
+                if not on:
+                    continue
+                i = int(base.piece_of_arrays(np.array([float(px)]),
+                                             np.array([float(py)]))[0])
+                assert names[i] in want[key], (key, px, py)
+                assert pg.point_in_closed(base.pieces[i].polygon, (px, py))
+                seen[key] += 1
+    assert min(seen.values()) >= 3
+    nx = np.array([np.nan, 0.5, np.nan])
+    ny = np.array([0.5, np.nan, np.nan])
+    assert list(base.piece_of_arrays(nx, ny)) == [-1, -1, -1]
 
 
 def test_forward_and_inverse_compose_to_identity():
@@ -300,7 +339,7 @@ def test_return_map_area_preserving_by_finite_differences(flow):
     checked = 0
     while checked < 25:
         x, y = rng.random(2)
-        if flow.min_distance_to_discontinuity(np.array([x]), np.array([y]))[0] < 10 * h:
+        if flow.base.distance_to_boundary_arrays(np.array([x]), np.array([y]))[0] < 10 * h:
             continue
         (fx, fy), _, _ = flow.return_map((x, y))
         jac = np.empty((2, 2))
@@ -391,6 +430,13 @@ def test_trajectory_rows_and_config(flow):
         assert "matrix" in piece and "offset" in piece
 
 
+def test_perturbed_config_names_map_and_pieces(pflow):
+    cfg = pflow.to_config()
+    assert cfg["map"] == {"perturbed": 0.02}
+    names = [piece["name"] for piece in cfg["pieces"]]
+    assert len(names) == len(set(names)) == 12
+
+
 def test_perturbed_zero_epsilon_recovers_quadratic_roof(flow):
     zero = build_perturbed_map(0.0)
     rng = spawn_rng(67, 6)
@@ -467,7 +513,7 @@ def test_perturbed_path_dependence_detected():
 def test_interior_point_helper_respects_margins(flow):
     x, y, z = interior_points(flow, 500, seed=83, margin=2e-3)
     assert x.shape == (500,)
-    assert flow.min_distance_to_discontinuity(x, y).min() > 2e-3
+    assert flow.base.distance_to_boundary_arrays(x, y).min() > 2e-3
     pid = flow.base.piece_of_arrays(x, y)
     tau = flow.roof.tau_arrays(x, y, pid)
     assert np.all(z > 2e-3) and np.all(z < tau - 2e-3)
