@@ -1086,11 +1086,14 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig) -> RunManifest:
-    """Execute one experiment; always writes manifest.json before returning.
+    """Execute one experiment and write manifest.json before returning.
 
-    Domain errors raised mid-experiment become a failed check named after
-    the exception, so the manifest records partial progress instead of the
-    process dying with a traceback.
+    Domain errors (ContactFlowError) raised mid-experiment become a failed
+    check named after the exception, so the manifest records partial
+    progress.  Any other exception propagates and the process ends without
+    a manifest; today that is the ValueError the perturbed map's inverse
+    raises on a seam point ("wrap indices outside the registered piece
+    set").
     """
     t0 = time.perf_counter()
     outdir = Path(config.out)

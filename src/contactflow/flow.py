@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,38 +40,56 @@ from .errors import ClosednessViolation, NonFinite, PathDependence
 # ---------------------------------------------------------------------------
 
 
+# a * x + b * y op c; op declares which side owns the line a * x + b * y = c
+HalfPlane = tuple[Fraction, Fraction, str, Fraction]
+_CMP = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+
+
 @dataclass(frozen=True)
 class Piece:
-    """One affine piece: half-open polygon domain, matrix, offset.
+    """One affine piece: half-open domain, matrix, offset.
 
-    offset is the true offset (image representative in [0,1)^2 a.e.);
-    lift_offset is the offset of the smooth lift shared by the piece's
-    group, and wrap_index = lift_offset[1] - offset[1] counts how many
-    times the image's second coordinate wrapped.
+    The domain is the set of points of [0,1)^2 where every half-plane in
+    halfplanes holds; the float lookup, the inverse's membership test and
+    the exact polygon all derive from that one tuple.  offset is the true
+    offset (image representative in [0,1)^2 a.e.); lift_offset is the offset
+    of the smooth lift shared by the piece's group, and wrap_index =
+    lift_offset[1] - offset[1] counts how many times the image's second
+    coordinate wrapped.
     """
 
     name: str
     matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
     offset: tuple[Fraction, Fraction]
-    polygon: pg.Polygon
-    predicate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    group: str = ""
-    lift_offset: tuple[Fraction, Fraction] | None = None
+    halfplanes: tuple[HalfPlane, ...]
+    group: str
+    lift_offset: tuple[Fraction, Fraction]
 
     @property
     def wrap_index(self) -> Fraction:
-        if self.lift_offset is None:
-            return Fraction(0)
         return self.lift_offset[1] - self.offset[1]
 
     @property
     def matrix_f(self) -> np.ndarray:
-        return np.array([[float(self.matrix[0][0]), float(self.matrix[0][1])],
-                         [float(self.matrix[1][0]), float(self.matrix[1][1])]])
+        return np.array(self.matrix, dtype=float)
 
-    @property
-    def offset_f(self) -> np.ndarray:
-        return np.array([float(self.offset[0]), float(self.offset[1])])
+    @cached_property
+    def polygon(self) -> pg.Polygon:
+        """Closure of the domain, clipped exactly from the unit square."""
+        poly = pg.rect_polygon(0, 1, 0, 1)
+        for a, b, op, c in self.halfplanes:
+            s = 1 if op[0] == ">" else -1
+            poly = pg.clip_halfplane(poly, s * a, s * b, -s * c)
+        return poly
+
+    @cached_property
+    def inverse(self) -> tuple[tuple, tuple[Fraction, Fraction]]:
+        """Exact (matrix, offset) of the inverse affine branch."""
+        (m00, m01), (m10, m11) = self.matrix
+        d = self.det()
+        inv = ((m11 / d, -m01 / d), (-m10 / d, m00 / d))
+        c0, c1 = self.offset
+        return inv, tuple(-(r0 * c0 + r1 * c1) for r0, r1 in inv)
 
     def det(self) -> Fraction:
         m = self.matrix
@@ -90,19 +109,32 @@ class PiecewiseAffineTorusMap:
         self.image_polygons = [
             pg.affine_image(p.polygon, p.matrix, p.offset) for p in self.pieces
         ]
-        m = np.stack([p.matrix_f for p in self.pieces])
-        self._mats = m
-        self._offs = np.stack([p.offset_f for p in self.pieces])
-        self._inv_mats = np.stack([np.linalg.inv(mi) for mi in m])
+        self._mats = np.array([p.matrix for p in self.pieces], dtype=float)
+        self._offs = np.array([p.offset for p in self.pieces], dtype=float)
+        self._inv_mats = np.array([p.inverse[0] for p in self.pieces], dtype=float)
+        self._halfplanes = [[(float(a), float(b), _CMP[op], float(c)) for a, b, op, c in p.halfplanes]
+                            for p in self.pieces]
         self._edges = self._collect_edges()
 
     # -- piece lookup -------------------------------------------------------
 
+    def _in_piece(self, i: int, x: np.ndarray, y: np.ndarray, forms: dict):
+        """Float membership in piece i's half-open domain: a bool array, or
+        True when the piece has no half-planes and so claims every point,
+        NaN included.  forms caches a * x + b * y across calls on the same
+        (x, y)."""
+        ok = True
+        for a, b, cmp, c in self._halfplanes[i]:
+            if (a, b) not in forms:  # a unit factor is skipped: same bits, one pass fewer
+                forms[a, b] = (x if a == 1.0 else a * x) + (y if b == 1.0 else b * y)
+            ok = ok & cmp(forms[a, b], c)
+        return ok
+
     def piece_of_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         pid = np.full(np.shape(x), -1, dtype=np.int64)
-        for i, p in enumerate(self.pieces):
-            mask = (pid < 0) & p.predicate(x, y)
-            pid[mask] = i
+        forms: dict = {}
+        for i in range(len(self.pieces)):
+            pid[(pid < 0) & self._in_piece(i, x, y, forms)] = i
         return pid
 
     def piece_of(self, x: float, y: float) -> int:
@@ -135,7 +167,7 @@ class PiecewiseAffineTorusMap:
 
     def apply_inverse_arrays(self, x: np.ndarray, y: np.ndarray):
         """Inverse by scanning pieces: the candidate preimage of piece i is
-        valid when it satisfies piece i's own domain predicate."""
+        valid when it lies in piece i's own domain."""
         out_x = np.full(np.shape(x), np.nan)
         out_y = np.full(np.shape(x), np.nan)
         out_p = np.full(np.shape(x), -1, dtype=np.int64)
@@ -143,16 +175,17 @@ class PiecewiseAffineTorusMap:
             todo = out_p < 0
             if not np.any(todo):
                 break
-            for i, p in enumerate(self.pieces):
+            for i in range(len(self.pieces)):
                 mi = self._inv_mats[i]
-                cx = mi[0, 0] * (x - self._offs[i, 0]) + mi[0, 1] * (y - self._offs[i, 1])
-                cy = mi[1, 0] * (x - self._offs[i, 0]) + mi[1, 1] * (y - self._offs[i, 1])
+                dx, dy = x - self._offs[i, 0], y - self._offs[i, 1]
+                cx = mi[0, 0] * dx + mi[0, 1] * dy
+                cy = mi[1, 0] * dx + mi[1, 1] * dy
                 if tol == 0.0:
-                    ok = (cx >= 0.0) & (cx < 1.0) & (cy >= 0.0) & (cy < 1.0) & p.predicate(cx, cy)
+                    ok = (cx >= 0.0) & (cx < 1.0) & (cy >= 0.0) & (cy < 1.0) & self._in_piece(i, cx, cy, {})
                 else:
                     cxc = np.clip(cx, 0.0, np.nextafter(1.0, 0.0))
                     cyc = np.clip(cy, 0.0, np.nextafter(1.0, 0.0))
-                    ok = (np.abs(cxc - cx) <= tol) & (np.abs(cyc - cy) <= tol) & p.predicate(cxc, cyc)
+                    ok = (np.abs(cxc - cx) <= tol) & (np.abs(cyc - cy) <= tol) & self._in_piece(i, cxc, cyc, {})
                     cx, cy = cxc, cyc
                 take = todo & ok & (out_p < 0)
                 out_x[take] = cx[take]
@@ -207,7 +240,7 @@ class PiecewiseAffineTorusMap:
             "pieces": [
                 {
                     "name": p.name,
-                    "group": p.group or p.name,
+                    "group": p.group,
                     "matrix": [[str(v) for v in row] for row in p.matrix],
                     "offset": [str(v) for v in p.offset],
                     "wrap_index": str(p.wrap_index),
@@ -218,24 +251,6 @@ class PiecewiseAffineTorusMap:
         }
 
 
-def _standard_predicates():
-    """Membership tests for the four standard pieces (half-open, total)."""
-
-    def p1a(x, y):
-        return (x + y <= 1.0) & (x + 3.0 * y < 2.0)
-
-    def p1b(x, y):
-        return (x + y <= 1.0) & (x + 3.0 * y >= 2.0)
-
-    def p2a(x, y):
-        return (x + y > 1.0) & (x + 3.0 * y < 3.0)
-
-    def p2b(x, y):
-        return (x + y > 1.0) & (x + 3.0 * y >= 3.0)
-
-    return [p1a, p1b, p2a, p2b]
-
-
 def standard_map() -> PiecewiseAffineTorusMap:
     """The standard four-piece map with matrix [[1,1],[1/2,3/2]].
 
@@ -244,45 +259,26 @@ def standard_map() -> PiecewiseAffineTorusMap:
     lines (names ending in b) have the image's second coordinate wrapped
     once, absorbed into the offset.
     """
-    h = Fraction(1, 2)
-    mat = ((Fraction(1), Fraction(1)), (h, Fraction(3, 2)))
-    preds = _standard_predicates()
-    pieces = [
-        Piece(
-            name="1a", matrix=mat, offset=(Fraction(0), Fraction(0)),
-            polygon=pg.polygon([(0, 0), (1, 0), (h, h), (0, Fraction(2, 3))]),
-            predicate=preds[0], group="1", lift_offset=(Fraction(0), Fraction(0)),
-        ),
-        Piece(
-            name="1b", matrix=mat, offset=(Fraction(0), Fraction(-1)),
-            polygon=pg.polygon([(h, h), (0, Fraction(2, 3)), (0, 1)]),
-            predicate=preds[1], group="1", lift_offset=(Fraction(0), Fraction(0)),
-        ),
-        Piece(
-            name="2a", matrix=mat, offset=(Fraction(-1), Fraction(-1, 2)),
-            polygon=pg.polygon([(1, 0), (1, Fraction(2, 3)), (0, 1)]),
-            predicate=preds[2], group="2", lift_offset=(Fraction(-1), Fraction(-1, 2)),
-        ),
-        Piece(
-            name="2b", matrix=mat, offset=(Fraction(-1), Fraction(-3, 2)),
-            polygon=pg.polygon([(0, 1), (1, Fraction(2, 3)), (1, 1)]),
-            predicate=preds[3], group="2", lift_offset=(Fraction(-1), Fraction(-1, 2)),
-        ),
+    zero, one, h, three = Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3)
+    mat = ((one, one), (h, 3 * h))
+    below, above = (one, one, "<=", one), (one, one, ">", one)
+    table = [  # name, offset, half-planes, group, lift offset
+        ("1a", (zero, zero), (below, (one, three, "<", 2 * one)), "1", (zero, zero)),
+        ("1b", (zero, -one), (below, (one, three, ">=", 2 * one)), "1", (zero, zero)),
+        ("2a", (-one, -h), (above, (one, three, "<", three)), "2", (-one, -h)),
+        ("2b", (-one, -3 * h), (above, (one, three, ">=", three)), "2", (-one, -h)),
     ]
-    return PiecewiseAffineTorusMap(pieces)
+    return PiecewiseAffineTorusMap([
+        Piece(name=name, matrix=mat, offset=off, halfplanes=hp, group=group, lift_offset=lift)
+        for name, off, hp, group, lift in table
+    ])
 
 
 def single_piece_map(matrix=((1, 0), (0, 1))) -> PiecewiseAffineTorusMap:
     """Control map: one piece covering the square (used by complexity tests)."""
     mat = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-
-    def pred(x, y):
-        return np.ones(np.shape(x), dtype=bool)
-
-    piece = Piece(
-        name="0", matrix=mat, offset=(Fraction(0), Fraction(0)),
-        polygon=pg.rect_polygon(0, 1, 0, 1), predicate=pred,
-    )
+    zero = (Fraction(0), Fraction(0))
+    piece = Piece(name="0", matrix=mat, offset=zero, halfplanes=(), group="0", lift_offset=zero)
     return PiecewiseAffineTorusMap([piece])
 
 
@@ -354,14 +350,13 @@ def build_roof(base: PiecewiseAffineTorusMap, tau_minus: float) -> RoofFunction:
 
     groups: dict[str, list[int]] = {}
     for i, p in enumerate(base.pieces):
-        groups.setdefault(p.group or p.name, []).append(i)
+        groups.setdefault(p.group, []).append(i)
 
     coeffs: list[dict[str, Fraction] | None] = [None] * len(base.pieces)
     for gname, idxs in groups.items():
         rep = base.pieces[idxs[0]]
         m = rep.matrix
-        lift_off = rep.lift_offset if rep.lift_offset is not None else rep.offset
-        c2l = lift_off[1]
+        c1l, c2l = rep.lift_offset
         # lifted gradient: a = y - (m10 x + m11 y + c2l) m00, b = -(...) m01
         base_quad = {
             "qxx": -m[0][0] * m[1][0] / 2,
@@ -380,7 +375,6 @@ def build_roof(base: PiecewiseAffineTorusMap, tau_minus: float) -> RoofFunction:
         for i in idxs:
             p = base.pieces[i]
             k = p.wrap_index
-            c1l = lift_off[0]
             ci = dict(base_quad)
             ci["lx"] += k * m[0][0]
             ci["ly"] += k * m[0][1]

@@ -354,12 +354,14 @@ class ComplexityReport:
 SLIVER_AREA = Fraction(1, 10 ** 14)
 
 
-def _refine_level(cells: list[pg.Polygon], image_polys, inv_mats, inv_offs) -> tuple[list[pg.Polygon], int]:
+def _refine_level(cells: list[pg.Polygon], branches) -> tuple[list[pg.Polygon], int]:
+    """Split each cell by the branches' clip polygons and pull every part
+    back through its branch's affine map (matrix, offset)."""
     out = []
     slivers = 0
     for q in cells:
-        for j in range(len(image_polys)):
-            r = pg.clip_convex(q, image_polys[j])
+        for clip, mat, off in branches:
+            r = pg.clip_convex(q, clip)
             if len(r) < 3:
                 continue
             a = pg.polygon_area(r)
@@ -368,22 +370,8 @@ def _refine_level(cells: list[pg.Polygon], image_polys, inv_mats, inv_offs) -> t
             if a < SLIVER_AREA:
                 slivers += 1
                 continue
-            out.append(pg.affine_image(r, inv_mats[j], inv_offs[j]))
+            out.append(pg.affine_image(r, mat, off))
     return out, slivers
-
-
-def _inverse_piece_data(base_map):
-    mats, offs, imgs = [], [], []
-    for p, img in zip(base_map.pieces, base_map.image_polygons):
-        m = p.matrix
-        det = p.det()
-        inv = ((m[1][1] / det, -m[0][1] / det), (-m[1][0] / det, m[0][0] / det))
-        c = p.offset
-        ioff = (-(inv[0][0] * c[0] + inv[0][1] * c[1]), -(inv[1][0] * c[0] + inv[1][1] * c[1]))
-        mats.append(inv)
-        offs.append(ioff)
-        imgs.append(img)
-    return imgs, mats, offs
 
 
 def _max_incidence(cells: list[pg.Polygon]) -> int:
@@ -430,20 +418,19 @@ def _max_incidence(cells: list[pg.Polygon]) -> int:
 
 
 def _complexity_exact(base_map, n_max: int) -> list[ComplexityReport]:
-    fwd_imgs, fwd_inv_mats, fwd_inv_offs = _inverse_piece_data(base_map)
+    pieces, images = base_map.pieces, base_map.image_polygons
+    fwd = [(img, *p.inverse) for p, img in zip(pieces, images)]
     # backward refinement of the inverse map gives the forward-image cells
-    bwd_imgs = [p.polygon for p in base_map.pieces]
-    bwd_inv_mats = [p.matrix for p in base_map.pieces]
-    bwd_inv_offs = [p.offset for p in base_map.pieces]
+    bwd = [(p.polygon, p.matrix, p.offset) for p in pieces]
 
-    cells_b = [p.polygon for p in base_map.pieces]
-    cells_e = list(fwd_imgs)
+    cells_b = [p.polygon for p in pieces]
+    cells_e = list(images)
     reports = []
     slivers_total = 0
     for n in range(1, n_max + 1):
         if n > 1:
-            cells_b, s1 = _refine_level(cells_b, fwd_imgs, fwd_inv_mats, fwd_inv_offs)
-            cells_e, s2 = _refine_level(cells_e, bwd_imgs, bwd_inv_mats, bwd_inv_offs)
+            cells_b, s1 = _refine_level(cells_b, fwd)
+            cells_e, s2 = _refine_level(cells_e, bwd)
             slivers_total += s1 + s2
             if s1 + s2:
                 warnings.warn(

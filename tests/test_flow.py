@@ -47,8 +47,16 @@ def test_piece_assignment_total_and_single_valued():
     assert set(np.unique(pid_edge)) <= {0, 1}
 
 
-def test_piece_predicates_match_piece_polygons():
+def test_piece_lookup_matches_piece_polygons():
     base = standard_map()
+    h, t = Fraction(1, 2), Fraction(2, 3)
+    literal = {"1a": {(0, 0), (1, 0), (h, h), (0, t)},
+               "1b": {(h, h), (0, t), (0, 1)},
+               "2a": {(1, 0), (1, t), (0, 1)},
+               "2b": {(0, 1), (1, t), (1, 1)}}
+    assert {p.name: set(p.polygon) for p in base.pieces} == literal
+    for piece in base.pieces:
+        assert pg.signed_area2(piece.polygon) > 0  # counterclockwise
     rng = spawn_rng(31, 0)
     x = rng.random(4000)
     y = rng.random(4000)
@@ -94,6 +102,20 @@ def test_forward_and_inverse_compose_to_identity():
     bx, by, _ = base.apply_inverse_arrays(fx, fy)
     assert np.max(np.abs(wrap_diff(bx, x))) < 1e-12
     assert np.max(np.abs(wrap_diff(by, y))) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the forward map wraps the antidiagonal onto the seam "
+    "x = 0, which no inverse piece claims; perfbench KNOWN_DEFECTS[0] is "
+    "the same defect on the perturbed flow"))
+@pytest.mark.parametrize("p", [(0.25, 0.75), (0.5, 0.5), (0.75, 0.25)])
+def test_inverse_undoes_forward_on_the_seam(p):
+    base = standard_map()
+    fx, fy, _ = base.apply_arrays(np.array([p[0]]), np.array([p[1]]))
+    assert fx[0] == 0.0  # the image sits on the seam
+    bx, by, bp = base.apply_inverse_arrays(fx, fy)
+    assert bp[0] >= 0
+    assert (bx[0], by[0]) == p
 
 
 def test_inverse_planar_block():
