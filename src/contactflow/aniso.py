@@ -63,17 +63,6 @@ class AnisoSymbol:
         return AnisoSymbol(r_prime, s_prime, self.q + self.r - r_prime)
 
 
-def scale_bracket(x: float, lam: float):
-    """Return (lam^{-1}(1+lam*x), 1+x, 2*lam^{-1}(1+lam*x)).
-
-    For x >= 1 and lam >= 1 the middle value sits inside the bracket; this
-    elementary inequality is what lets the symbol weights absorb bounded
-    rescalings of the frequency variable.
-    """
-    anchor = (1.0 + lam * x) / lam
-    return anchor, 1.0 + x, 2.0 * anchor
-
-
 # ---------------------------------------------------------------------------
 # grid functions
 
@@ -86,15 +75,15 @@ def frequency_axis(n: int, length: float) -> np.ndarray:
 class GridFunction3:
     """Complex samples on an N^3 uniform grid over [0, L]^3.
 
-    Axis i of the sample array carries the role ``axes[i]``; the default
-    order is (u, s, 0).  Grid points are x_i = i*L/N (periodic, no endpoint
-    duplication).  The raw FFT is cached, so repeated norms against
-    different symbols reuse one transform.
+    Axis i of the sample array carries the role ``AXIS_ROLES[i]``, so the
+    axes are (u, s, 0) in that order.  Grid points are x_i = i*L/N
+    (periodic, no endpoint duplication).  The raw FFT is cached, so repeated
+    norms against different symbols reuse one transform.
     """
 
-    __slots__ = ("values", "length", "axes", "name", "_fhat")
+    __slots__ = ("values", "length", "name", "_fhat")
 
-    def __init__(self, values, length: float, axes=AXIS_ROLES, name: str = "grid"):
+    def __init__(self, values, length: float, name: str = "grid"):
         arr = np.ascontiguousarray(values, dtype=np.complex128)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError("samples must form a cubic N^3 array")
@@ -102,12 +91,9 @@ class GridFunction3:
             raise ValueError("grid must have at least 4 points per axis")
         if float(length) <= 0.0:
             raise ValueError("cube side length must be positive")
-        if tuple(axes) != AXIS_ROLES and sorted(axes) != sorted(AXIS_ROLES):
-            raise ValueError(f"axis roles must be a permutation of {AXIS_ROLES}")
         arr.setflags(write=False)
         self.values = arr
         self.length = float(length)
-        self.axes = tuple(axes)
         self.name = name
         self._fhat = None
 
@@ -116,14 +102,14 @@ class GridFunction3:
         return self.values.shape[0]
 
     @classmethod
-    def from_evaluator(cls, fn, n: int, length: float, axes=AXIS_ROLES,
+    def from_evaluator(cls, fn, n: int, length: float,
                        name: str = "grid") -> "GridFunction3":
         """Sample fn(x0, x1, x2) on the grid; fn must broadcast over arrays."""
         pts = np.arange(n) * (length / n)
         x0 = pts[:, None, None]
         x1 = pts[None, :, None]
         x2 = pts[None, None, :]
-        return cls(fn(x0, x1, x2), length, axes=axes, name=name)
+        return cls(fn(x0, x1, x2), length, name=name)
 
     def raw_fft(self) -> np.ndarray:
         if self._fhat is None:
@@ -136,30 +122,20 @@ class GridFunction3:
         cell = (self.length / self.n) ** 3
         return math.sqrt(cell * float(np.sum(np.abs(self.values) ** 2)))
 
-    def scaled(self, c) -> "GridFunction3":
-        return GridFunction3(c * self.values, self.length, self.axes,
-                             name=self.name)
-
     def __add__(self, other: "GridFunction3") -> "GridFunction3":
         if not isinstance(other, GridFunction3):
             return NotImplemented
-        if other.n != self.n or other.length != self.length \
-                or other.axes != self.axes:
+        if other.n != self.n or other.length != self.length:
             raise ValueError("grids are not compatible")
         return GridFunction3(self.values + other.values, self.length,
-                             self.axes, name=f"{self.name}+{other.name}")
+                             name=f"{self.name}+{other.name}")
 
 
-def symbol_on_grid(sym: AnisoSymbol, n: int, length: float,
-                   axes=AXIS_ROLES) -> np.ndarray:
+def symbol_on_grid(sym: AnisoSymbol, n: int, length: float) -> np.ndarray:
     """Evaluate a symbol on the N^3 FFT frequency grid (real array)."""
     freqs = frequency_axis(n, length)
-    comp = {}
-    for i, role in enumerate(axes):
-        shape = [1, 1, 1]
-        shape[i] = n
-        comp[role] = freqs.reshape(shape)
-    return np.asarray(sym(comp["u"], comp["s"], comp["0"]), dtype=float)
+    return np.asarray(sym(freqs[:, None, None], freqs[None, :, None],
+                          freqs[None, None, :]), dtype=float)
 
 
 def aniso_norm_p2(f: GridFunction3, sym: AnisoSymbol) -> float:
@@ -168,7 +144,7 @@ def aniso_norm_p2(f: GridFunction3, sym: AnisoSymbol) -> float:
 
     At r = s = q = 0 this equals the discrete L^2 norm exactly (Parseval).
     """
-    weights = symbol_on_grid(sym, f.n, f.length, f.axes)
+    weights = symbol_on_grid(sym, f.n, f.length)
     total = float(np.sum((weights * np.abs(f.raw_fft())) ** 2))
     return (f.length ** 1.5 / f.n ** 3) * math.sqrt(total)
 
@@ -332,30 +308,6 @@ def check_symbol_inequality(r: float, s: float, q: float, r_prime: float,
         hypothesis_ok=not msgs, hypothesis_messages=msgs)
 
 
-def symbol_growth_diagnostic(r: float, s: float, q: float,
-                             dmap: HyperbolicBlockMap,
-                             powers=(1, 2, 3), xi_max: float = 64.0,
-                             n_per_axis: int = 17):
-    """Best single-term constants sup b/a across iterates of the map.
-
-    Inside the exponent window (s <= -r) these stay bounded by 1; with
-    r + s > 0 they grow without bound along the powers, which is exactly
-    why the companion lower-order term is needed.
-    """
-    out = []
-    sym = AnisoSymbol(r, s, q)
-    vals = _nonnegative_log_grid(xi_max, n_per_axis)
-    xu = vals[:, None, None]
-    xs = vals[None, :, None]
-    x0 = vals[None, None, :]
-    a = sym(xu, xs, x0)
-    for k in powers:
-        dk = dmap.power(int(k))
-        b = sym(*dk.dual_inverse_xi(xu, xs, x0))
-        out.append(float(np.max(b / a)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form bumps and hyperbolic composition
 
@@ -385,9 +337,8 @@ class CubeBump:
         val = val * bump((np.asarray(x2, dtype=float) - c[2]) / h[2])
         return self.amplitude * val
 
-    def as_grid(self, n: int, length: float, axes=AXIS_ROLES) -> GridFunction3:
-        return GridFunction3.from_evaluator(self, n, length, axes=axes,
-                                            name=self.name)
+    def as_grid(self, n: int, length: float) -> GridFunction3:
+        return GridFunction3.from_evaluator(self, n, length, name=self.name)
 
     def composed_with_inverse(self, dmap: HyperbolicBlockMap,
                               length: float) -> "CubeBump":
@@ -444,8 +395,8 @@ class CompositionReport:
 def check_composition_contraction(w: CubeBump, dmap: HyperbolicBlockMap,
                                   r: float, s: float, q: float,
                                   r_prime: float, s_prime: float,
-                                  n: int = 128, length: float = 4.0,
-                                  axes=AXIS_ROLES) -> CompositionReport:
+                                  n: int = 128,
+                                  length: float = 4.0) -> CompositionReport:
     """Compare ||w∘D^{-1}|| with |det D|^{-1/2} (M ||w|| + ||w||_lower).
 
     w must be supported well inside the cube so that the u-stretched image
@@ -460,8 +411,8 @@ def check_composition_contraction(w: CubeBump, dmap: HyperbolicBlockMap,
 
     sym = AnisoSymbol(r, s, q)
     low = sym.shifted_lower_order(r_prime, s_prime)
-    g = w.as_grid(n, length, axes=axes)
-    gm = mapped.as_grid(n, length, axes=axes)
+    g = w.as_grid(n, length)
+    gm = mapped.as_grid(n, length)
     norm_w = aniso_norm_p2(g, sym)
     norm_low = aniso_norm_p2(g, low)
     norm_mapped = aniso_norm_p2(gm, sym)
@@ -481,8 +432,7 @@ def check_composition_contraction(w: CubeBump, dmap: HyperbolicBlockMap,
 def composition_iteration_sweep(w: CubeBump, dmap: HyperbolicBlockMap,
                                 r: float, s: float, q: float,
                                 k_max: int = 4, n: int = 192,
-                                length: float = 4.0, slack: float = 2.0,
-                                axes=AXIS_ROLES):
+                                length: float = 4.0, slack: float = 2.0):
     """Track ||w∘D^{-k}|| / ||w|| for k = 1..k_max against M^k * slack.
 
     This is the contraction mechanism observed directly: iterating the
@@ -490,13 +440,13 @@ def composition_iteration_sweep(w: CubeBump, dmap: HyperbolicBlockMap,
     M = max(lambda_u^{-r}, lambda_s^{-(r+s)}) up to a fixed slack.
     """
     sym = AnisoSymbol(r, s, q)
-    base = aniso_norm_p2(w.as_grid(n, length, axes=axes), sym)
+    base = aniso_norm_p2(w.as_grid(n, length), sym)
     m = dmap.contraction_factor(r, s)
     rows = []
     for k in range(1, k_max + 1):
         mapped = w.composed_with_inverse(dmap.power(k), length)
         _require_support_inside(mapped, length)
-        nk = aniso_norm_p2(mapped.as_grid(n, length, axes=axes), sym)
+        nk = aniso_norm_p2(mapped.as_grid(n, length), sym)
         rows.append({
             "N": n, "L": length, "r": r, "s": s, "q": q, "k": k,
             "ratio": nk / base, "bound": m ** k * slack,
@@ -521,11 +471,11 @@ class HalfSpace:
         if self.axis not in AXIS_ROLES:
             raise ValueError(f"axis must be one of {AXIS_ROLES}")
 
-    def mask(self, n: int, length: float, axes=AXIS_ROLES) -> np.ndarray:
+    def mask(self, n: int, length: float) -> np.ndarray:
         pts = np.arange(n) * (length / n)
         keep = pts <= self.threshold if self.keep_below else pts >= self.threshold
         shape = [1, 1, 1]
-        shape[tuple(axes).index(self.axis)] = n
+        shape[AXIS_ROLES.index(self.axis)] = n
         return np.broadcast_to(keep.reshape(shape), (n, n, n))
 
 
@@ -573,8 +523,8 @@ class MultiplierReport:
 
 def check_multiplier_charfun(half: HalfSpace, r: float, s: float, q: float,
                              bumps, ns=(64, 128), length: float = 4.0,
-                             rel_tol: float = 0.05, enforce: bool = True,
-                             axes=AXIS_ROLES) -> MultiplierReport:
+                             rel_tol: float = 0.05,
+                             enforce: bool = True) -> MultiplierReport:
     """Measure how a sharp half-space cutoff inflates the weighted norm.
 
     Inside the admissible exponent window the ratio stabilizes under grid
@@ -594,10 +544,10 @@ def check_multiplier_charfun(half: HalfSpace, r: float, s: float, q: float,
     for bump in bumps:
         ratios = []
         for n in ns:
-            g = bump.as_grid(int(n), length, axes=axes)
+            g = bump.as_grid(int(n), length)
             cut = GridFunction3(
-                np.where(half.mask(int(n), length, axes), g.values, 0.0),
-                length, axes=axes, name=f"1_U*{bump.name}")
+                np.where(half.mask(int(n), length), g.values, 0.0),
+                length, name=f"1_U*{bump.name}")
             ratio = aniso_norm_p2(cut, sym) / aniso_norm_p2(g, sym)
             ratios.append(ratio)
             rows.append({"N": int(n), "L": length, "r": r, "s": s, "q": q,

@@ -1,5 +1,5 @@
-"""Mollification, stable-leaf averaging, and oscillatory-cancellation
-experiments for the suspension flow.
+"""Stable-leaf averaging and oscillatory-cancellation experiments for the
+suspension flow.
 
 The central object is the average of an observable over a short curve
 tangent to the contact kernel in the stable direction (a "fake stable
@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hyperbolicity
-from ._quadrature import bump, fmt17, gl_interval, gl_rule
-from .errors import ChartBoundary, PieceExplosion
+from ._quadrature import fmt17, gl_interval
+from .errors import PieceExplosion
 from .flow import FlowPoint
 from .transfer import ResolventParams, cabs, resolvent_power_points
 
@@ -34,124 +33,6 @@ def _as_point_tuple(flow, w):
     x, y, z = (float(c) for c in w)
     flow.flow_point(x, y, z)  # validates 0 <= z < tau
     return x, y, z
-
-
-# ---------------------------------------------------------------------------
-# mollifier
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _bump_mass_1d(n_nodes: int = 96) -> float:
-    """Mass of exp(1 - 1/(1-u^2)) on [-1, 1] by Gauss quadrature.
-
-    96 nodes agree with 192 nodes to well below 1e-12, which fixes the
-    mollifier normalization constant.
-    """
-    nodes, weights = gl_rule(n_nodes)
-    return float(np.sum(weights * bump(nodes)))
-
-
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Tensor-product smooth mollifier at scale epsilon.
-
-    eta(u, v, w) is the product of three normalized 1D bumps supported in
-    |.| <= 1, so eta has unit mass on the cube and eta_eps(y) =
-    eps^{-3} eta(y/eps) concentrates at scale eps.
-    """
-
-    epsilon: float
-    nodes_per_axis: int = 16
-
-    def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
-        if self.nodes_per_axis < 4:
-            raise ValueError("need at least 4 quadrature nodes per axis")
-
-    def eta_1d(self, u) -> np.ndarray:
-        return bump(np.asarray(u, dtype=float)) / _bump_mass_1d()
-
-    def eta(self, u, v, w) -> np.ndarray:
-        return self.eta_1d(u) * self.eta_1d(v) * self.eta_1d(w)
-
-    def mass(self, n_nodes: int = 128) -> float:
-        """Quadrature check of the unit-mass normalization.
-
-        Uses a node count different from the one that fixed the
-        normalization constant, so the check is not circular."""
-        nodes, weights = gl_rule(n_nodes)
-        m1 = float(np.sum(weights * self.eta_1d(nodes)))
-        return m1 ** 3
-
-
-@dataclass(frozen=True)
-class MollifyResult:
-    value: float
-    error_budget: float
-    boundary_contact: bool
-
-
-def _mollify_tensor(psi, eps, wx, wy, wz, n, flow):
-    nodes, weights = gl_rule(n)
-    u = nodes[:, None, None]
-    v = nodes[None, :, None]
-    t = nodes[None, None, :]
-    x = wx - eps * u
-    y = wy - eps * v
-    z = wz - eps * t
-    wgt = (weights[:, None, None] * weights[None, :, None]
-           * weights[None, None, :])
-    eta = (bump(nodes) / _bump_mass_1d())
-    density = eta[:, None, None] * eta[None, :, None] * eta[None, None, :]
-    xb = np.broadcast_to(x, (n, n, n))
-    yb = np.broadcast_to(y, (n, n, n))
-    zb = np.broadcast_to(z, (n, n, n))
-    vals = psi(xb.ravel() % 1.0, yb.ravel() % 1.0, zb.ravel()).reshape(n, n, n)
-    # self-normalized so the discrete operator has exactly unit mass:
-    # constants are reproduced exactly and positivity gives a sup bound
-    mass = wgt * density
-    value = float((np.sum(mass * vals) / np.sum(mass)).real)
-    contact = bool(np.any(z < 0.0))
-    if flow is not None and not contact:
-        xf = xb.ravel() % 1.0
-        yf = yb.ravel() % 1.0
-        pid = flow.base.piece_of_arrays(xf, yf)
-        tau = flow.roof.tau_arrays(xf, yf, pid)
-        contact = bool(np.any(zb.ravel() >= tau))
-    return value, contact
-
-
-def mollify_detailed(psi, spec: MollifierSpec, w, flow=None) -> MollifyResult:
-    """Convolution (eta_eps * psi)(w) by tensor Gauss quadrature.
-
-    The value is computed at the requested node count and at a refined
-    count; the refined value is returned and the difference is the error
-    budget.  When the epsilon-ball pokes out of the flow box (z < 0, or
-    z >= tau when a flow is supplied for the roof check), psi's own
-    zero-extension supplies the missing values and the result is flagged.
-    """
-    wx, wy, wz = (float(c) for c in ((w.x, w.y, w.z)
-                                     if isinstance(w, FlowPoint) else w))
-    n = spec.nodes_per_axis
-    coarse, _ = _mollify_tensor(psi, spec.epsilon, wx, wy, wz, n, None)
-    fine, contact = _mollify_tensor(psi, spec.epsilon, wx, wy, wz, n + 8, flow)
-    return MollifyResult(value=fine, error_budget=abs(fine - coarse),
-                         boundary_contact=contact)
-
-
-def mollify(psi, spec: MollifierSpec, w, flow=None, strict: bool = False):
-    """Mollified value of psi at w; see mollify_detailed for semantics.
-
-    strict=True turns boundary contact of the epsilon-ball into a
-    ChartBoundary error instead of a silent zero-extension.
-    """
-    res = mollify_detailed(psi, spec, w, flow=flow)
-    if strict and res.boundary_contact:
-        raise ChartBoundary(
-            f"epsilon-ball of radius {spec.epsilon} at {w} leaves the flow box")
-    return res.value
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +89,6 @@ class StableLeaf:
         x, y, z = self.point_unwrapped(s)
         return x % 1.0, y % 1.0, z
 
-    def tangent(self, s):
-        s = np.asarray(s, dtype=float)
-        y = self.y0 + self.e2 * s
-        return (np.full_like(s, self.e1), np.full_like(s, self.e2),
-                y * self.e1)
-
     def kernel_residual(self, n: int = 64, h: float = 1e-3) -> float:
         """max |z'(s) - y(s) x'(s)| with z' from central differences.
 
@@ -229,9 +104,9 @@ class StableLeaf:
         return float(np.max(np.abs(dz - y * self.e1)))
 
 
-def leaf_through(flow, w, half_length: float, direction=None) -> StableLeaf:
+def leaf_through(flow, w, half_length: float) -> StableLeaf:
     x, y, z = _as_point_tuple(flow, w)
-    e1, e2 = direction if direction is not None else stable_direction(flow.base)
+    e1, e2 = stable_direction(flow.base)
     return StableLeaf(x0=x, y0=y, z0=z, half_length=half_length, e1=e1, e2=e2)
 
 
@@ -276,23 +151,6 @@ def clip_leaf_to_domain(flow, leaf: StableLeaf, n_scan: int = 256,
         lo_idx -= 1
     s_lo = -h if lo_idx == 0 else bisect(s[lo_idx], s[lo_idx - 1])
     return float(s_lo), float(s_hi)
-
-
-def stable_average(flow, psi, delta: float, w, n_nodes: int = 32,
-                   direction=None):
-    """Uniform average of psi over the stable leaf of half-length delta
-    through w, clipped at the flow-box boundary with renormalized mass.
-
-    psi is any callable of chart coordinates (x, y, z); constants are
-    reproduced exactly because the Gauss weights sum to the interval
-    length.
-    """
-    leaf = leaf_through(flow, w, delta, direction=direction)
-    s_lo, s_hi = clip_leaf_to_domain(flow, leaf)
-    nodes, weights = gl_interval(s_lo, s_hi, n_nodes)
-    x, y, z = leaf.point(nodes)
-    vals = psi(x, y, z)
-    return np.sum(weights * np.asarray(vals)) / (s_hi - s_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -509,23 +367,6 @@ def dolgopyat_experiment(flow, psi, params: DolgopyatParams, b_list,
         rows=rows, gamma0_hat=rows[-1].gamma0_hat_running,
         a=params.a, m=params.m, gamma=params.gamma, nu_a=params.nu_a,
         lambda_bar=params.lambda_bar, n_points=len(pts), seed=seed)
-
-
-def dolgopyat_m_sweep(flow, psi, params: DolgopyatParams, ms=(1, 2, 3, 4),
-                      eval_points=20, seed: int = 0):
-    """Ratios at the reference b for several resolvent half-powers m.
-
-    The admissible-power condition ties m to (a, gamma, b) through an
-    unspecified constant, so instead of enforcing it the sweep reports
-    whether the measured cancellation strengthens as m grows."""
-    out = []
-    for m in ms:
-        pm = replace(params, m=int(m))
-        table = dolgopyat_experiment(flow, psi, pm, [params.b],
-                                     eval_points=eval_points, seed=seed)
-        out.append({"m": int(m), "b": params.b, "ratio": table.rows[0].ratio,
-                    "flagged": table.rows[0].flagged})
-    return out
 
 
 def write_dolgopyat_csv(path, table: DolgopyatTable):

@@ -943,8 +943,7 @@ def _run_complexity(flow, prm, seed, cfg, writer, checks):
     report = {"rows": [r.to_json_dict() for r in reports]}
     if prm["control"]:
         sp = single_piece_map()
-        control_flow = SuspensionFlow(sp, build_roof(sp, flow.tau_minus),
-                                      label="control")
+        control_flow = SuspensionFlow(sp, build_roof(sp, flow.tau_minus))
         ctrl = complexity_counts(control_flow, min(prm["n_max"], 6),
                                  method=prm["method"])
         flat = all(r.D_b == 1 and r.D_e == 1 for r in ctrl)

@@ -6,11 +6,7 @@ class ContactFlowError(Exception):
 
 
 class DegenerateFrame(ContactFlowError):
-    """Chart construction got planar directions that are (nearly) parallel."""
-
-
-class NotInKernel(ContactFlowError):
-    """A supplied tangent vector is not in the kernel of the contact form."""
+    """A linear chart's planar block does not have determinant 1."""
 
 
 class ClosednessViolation(ContactFlowError):
@@ -55,10 +51,6 @@ class SupportEscape(ContactFlowError):
 
 class PieceExplosion(ContactFlowError):
     """Stable-curve decomposition exceeded the piece-count cap."""
-
-
-class ChartBoundary(ContactFlowError):
-    """A mollifier ball leaves the flow box around its center point."""
 
 
 class ConfigError(ContactFlowError):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -231,24 +231,6 @@ class PiecewiseAffineTorusMap:
             dd = np.hypot(x - (x0 + t * ex), y - (y0 + t * ey))
             np.minimum(d, dd, out=d)
         return d
-
-    # -- config -------------------------------------------------------------
-
-    def describe(self) -> dict:
-        return {
-            "map": "f0",
-            "pieces": [
-                {
-                    "name": p.name,
-                    "group": p.group,
-                    "matrix": [[str(v) for v in row] for row in p.matrix],
-                    "offset": [str(v) for v in p.offset],
-                    "wrap_index": str(p.wrap_index),
-                    "polygon": [[str(c) for c in v] for v in p.polygon],
-                }
-                for p in self.pieces
-            ]
-        }
 
 
 def standard_map() -> PiecewiseAffineTorusMap:
@@ -457,10 +439,9 @@ class FlowDiag:
 class SuspensionFlow:
     """Immutable suspension flow; all evolution routines are pure."""
 
-    def __init__(self, base, roof, label: str = "flow"):
+    def __init__(self, base, roof):
         self.base = base
         self.roof = roof
-        self.label = label
         self.volume = float(roof.volume)
         self.tau_max = float(roof.tau_max)
         self.tau_minus = float(roof.tau_minus)
@@ -591,27 +572,7 @@ class SuspensionFlow:
         ox, oy, oz, op, ot = np.take_along_axis(np.stack(levels, axis=2), level[None], axis=2)
         return ox, oy, oz - (ts - ot), op.astype(np.int64)
 
-    # -- sections, sampling, dumps -------------------------------------------
-
-    def return_map(self, base_point: Sequence[float]):
-        """(image, return time, piece id) of the section {z = 0}."""
-        x, y = float(base_point[0]), float(base_point[1])
-        pid = self.base.piece_of(x, y)
-        tau = self.roof.tau(x, y, pid)
-        u, v, _ = self.base.apply(x, y)
-        return (u, v), tau, pid
-
-    def return_map_iter(self, base_point: Sequence[float], n: int):
-        """Itinerary (i0..i_{n-1}) and cumulative return time of n steps."""
-        x, y = float(base_point[0]), float(base_point[1])
-        itinerary = []
-        total = 0.0
-        for _ in range(n):
-            (x_next, y_next), tau, pid = self.return_map((x, y))
-            itinerary.append(pid)
-            total += tau
-            x, y = x_next, y_next
-        return itinerary, total, (x, y)
+    # -- sampling -------------------------------------------------------------
 
     def sample_invariant(self, seed: int, n: int) -> FlowPointBatch:
         """Rejection sampling of the normalized invariant volume on X0.
@@ -645,26 +606,10 @@ class SuspensionFlow:
         pid = np.concatenate(chunks_p)[:n]
         return FlowPointBatch(x, y, z, pid)
 
-    def trajectory_rows(self, p: FlowPoint, t_grid: Iterable[float]):
-        """Rows (t, x, y, z, piece_id) for a CSV dump."""
-        rows = []
-        prev_t = 0.0
-        cur = p
-        for t in t_grid:
-            cur = self.forward(cur, float(t) - prev_t)
-            prev_t = float(t)
-            rows.append((float(t), cur.x, cur.y, cur.z, cur.piece_id))
-        return rows
-
-    # -- config ---------------------------------------------------------------
-
-    def to_config(self) -> dict:
-        return {"tau_minus": self.tau_minus, "label": self.label, **self.base.describe()}
-
 
 def standard_flow(tau_minus: float = 1.0) -> SuspensionFlow:
     base = standard_map()
-    return SuspensionFlow(base, build_roof(base, tau_minus), label="f0")
+    return SuspensionFlow(base, build_roof(base, tau_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +701,10 @@ class PerturbedTorusMap:
         g = 2.0 * np.pi * self.epsilon * np.cos(2.0 * np.pi * x)
         return np.array([[1.0 + g, 1.0], [0.5 + 1.5 * g, 1.5]])
 
-    def sample_jacobians(self, n: int = 64) -> list[np.ndarray]:
-        xs = (np.arange(n) + 0.5) / n
+    def sample_jacobians(self) -> list[np.ndarray]:
+        """Jacobians at the midpoints of 64 equal cells in x (they do not
+        depend on y)."""
+        xs = (np.arange(64) + 0.5) / 64
         return [self.jacobian_at(float(x), 0.0) for x in xs]
 
     def distance_to_boundary_arrays(self, x, y):
@@ -785,10 +732,6 @@ class PerturbedTorusMap:
                 out.append((p0, p1, "sheared antidiagonal"))
         return out
 
-    def describe(self) -> dict:
-        return {"map": {"perturbed": self.epsilon}, "epsilon": self.epsilon,
-                "pieces": [{"name": f"b{b}k{k}m{m}"} for b, k, m in self._labels]}
-
 
 _SHARED_STANDARD_MAP = standard_map()
 
@@ -805,14 +748,16 @@ class PerturbedRoof:
     grid falls back to the (branch, 0) constant and sets sliver_fallback.
     """
 
-    def __init__(self, pmap: PerturbedTorusMap, tau_minus: float, nodes: int = 64, grid: int = 256):
+    GRID = 256  # midpoints per axis of the normalization grid
+
+    def __init__(self, pmap: PerturbedTorusMap, tau_minus: float, nodes: int = 64):
         self.pmap = pmap
         self.tau_minus = float(tau_minus)
         self.nodes = int(nodes)
         self.anchor = (0.25, 0.25)
         self._const: dict[tuple[int, int], float] = {}
         self.sliver_fallback = False
-        self._normalize(grid)
+        self._normalize()
         self._check_path_independence()
 
     # lifted 1-form components per (branch, m)
@@ -845,8 +790,8 @@ class PerturbedRoof:
             return leg_x(ax_a, x, ay_a) + leg_y(ay_a, y, x)
         return leg_y(ay_a, y, ax_a) + leg_x(ax_a, x, y)
 
-    def _normalization_points(self, grid: int):
-        xs = (np.arange(grid) + 0.5) / grid
+    def _normalization_points(self):
+        xs = (np.arange(self.GRID) + 0.5) / self.GRID
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         px = [gx.ravel()]
         py = [gy.ravel()]
@@ -869,8 +814,8 @@ class PerturbedRoof:
             py += [by.ravel(), np.clip(1.0 - by, 0.0, one).ravel()]
         return np.concatenate(px), np.concatenate(py)
 
-    def _normalize(self, grid: int):
-        gx, gy = self._normalization_points(grid)
+    def _normalize(self):
+        gx, gy = self._normalization_points()
         branch, _, m = self.pmap.label_arrays(gx, gy)
         for b, mm in {(int(bb), int(mv)) for bb, mv in zip(branch, m)}:
             sel = (branch == b) & (m == mm)
@@ -879,7 +824,7 @@ class PerturbedRoof:
         pid = self.pmap.piece_of_arrays(gx, gy)
         full = self.tau_arrays(gx, gy, pid)
         self.tau_max = float(full.max()) * (1.0 + 1e-3) + 1e-6
-        self.volume = float(full[: grid * grid].mean())  # midpoint rule
+        self.volume = float(full[: self.GRID ** 2].mean())  # midpoint rule
 
     def _check_path_independence(self, n: int = 24, tol: float = 1e-8):
         rng = spawn_rng(20240901, 7)
@@ -939,4 +884,4 @@ def build_perturbed_map(epsilon: float, tau_minus: float = 1.0) -> SuspensionFlo
     standard map's flow up to quadrature error in the roof."""
     pmap = PerturbedTorusMap(epsilon)
     roof = PerturbedRoof(pmap, tau_minus)
-    return SuspensionFlow(pmap, roof, label=f"perturbed({epsilon})")
+    return SuspensionFlow(pmap, roof)

@@ -6,10 +6,10 @@ those with unit planar Jacobian determinant and
 
     dC/dx = B * dA/dx - y,      dC/dy = B * dA/dy.
 
-Charts are kept as compositions of three testable elementary moves:
-straightening of a stable leaf given as a graph over the y-axis, a
-translation-with-shear moving a point to the origin, and a linear
-normalization fixing the image of an unstable vector.
+Charts are built from two testable elementary moves, a translation-with-shear
+moving a point to the origin and a linear map with unit determinant, and
+from compositions of charts.  check_contact_chart measures the residuals of
+the three chart equations.
 """
 
 from __future__ import annotations
@@ -17,29 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
-from ._quadrature import gl_interval
-from .errors import DegenerateFrame, NotInKernel
-
-FD_STEP = 1e-6  # central-difference step used by derivative checks
-
-
-def eval_alpha(point: Sequence[float], vector: Sequence[float]) -> float:
-    """alpha(vector) at point: v_z - y * v_x."""
-    return float(vector[2]) - float(point[1]) * float(vector[0])
-
-
-class ContactForm3:
-    """The standard contact form; exists as a value for API symmetry."""
-
-    @staticmethod
-    def __call__(point, vector) -> float:
-        return eval_alpha(point, vector)
-
-    @staticmethod
-    def reeb_vector(point) -> tuple[float, float, float]:
-        return (0.0, 0.0, 1.0)
+from .errors import DegenerateFrame
 
 
 @dataclass(frozen=True)
@@ -60,23 +38,6 @@ class ContactChart:
     def apply(self, point: Sequence[float]) -> tuple[float, float, float]:
         x, y, z = (float(t) for t in point)
         return (self.a(x, y), self.b(x, y), z + self.c(x, y))
-
-    def planar_jacobian(self, x: float, y: float) -> np.ndarray:
-        ax, ay = self.grad_a(x, y)
-        bx, by = self.grad_b(x, y)
-        return np.array([[ax, ay], [bx, by]])
-
-    def pushforward(self, point: Sequence[float], vector: Sequence[float]) -> tuple[float, float, float]:
-        x, y, _ = (float(t) for t in point)
-        vx, vy, vz = (float(t) for t in vector)
-        ax, ay = self.grad_a(x, y)
-        bx, by = self.grad_b(x, y)
-        cx, cy = self.grad_c(x, y)
-        return (ax * vx + ay * vy, bx * vx + by * vy, cx * vx + cy * vy + vz)
-
-    def pullback_residual(self, point, vector) -> float:
-        """|alpha(DK v) at K(point) - alpha(v) at point| (analytic)."""
-        return abs(eval_alpha(self.apply(point), self.pushforward(point, vector)) - eval_alpha(point, vector))
 
 
 def identity_chart() -> ContactChart:
@@ -125,38 +86,6 @@ def contact_translation(anchor: Sequence[float]) -> ContactChart:
         grad_b=lambda x, y: (0.0, 1.0),
         grad_c=lambda x, y: (-ay_, 0.0),
         label=f"translate{tuple(round(v, 6) for v in (ax_, ay_, az_))}",
-    )
-
-
-def leaf_straightening(
-    f_graph: Callable[[float], float],
-    df_graph: Callable[[float], float],
-    y_bar: float,
-    quad_nodes: int = 48,
-) -> ContactChart:
-    """Straighten the leaf {(F(y), y, .)} to a vertical line through x = F(y_bar).
-
-    A(x, y) = x - F(y) + F(y_bar), B = y; the correction C depends on y only,
-    C(y) = -integral_{y_bar}^{y} t F'(t) dt, so dC/dx = B dA/dx - y = 0 and
-    dC/dy = -y F'(y) = B dA/dy hold identically.
-    """
-    y_bar = float(y_bar)
-    f_bar = float(f_graph(y_bar))
-
-    def c_of_y(y: float) -> float:
-        if y == y_bar:
-            return 0.0
-        ts, ws = gl_interval(y_bar, y, quad_nodes)
-        return -float(np.dot(ws, ts * np.array([df_graph(t) for t in ts])))
-
-    return ContactChart(
-        a=lambda x, y: x - float(f_graph(y)) + f_bar,
-        b=lambda x, y: y,
-        c=lambda x, y: c_of_y(y),
-        grad_a=lambda x, y: (1.0, -float(df_graph(y))),
-        grad_b=lambda x, y: (0.0, 1.0),
-        grad_c=lambda x, y: (0.0, -y * float(df_graph(y))),
-        label=f"straighten(y_bar={y_bar:.6g})",
     )
 
 
@@ -258,48 +187,3 @@ def check_contact_chart(
         if val > tolerance:
             report.flagged.append(f"{name} residual {val:.3e} > {tolerance:.1e}")
     return report
-
-
-def reeb_chart_at(
-    point: Sequence[float],
-    stable_dir: Sequence[float],
-    unstable_vec: Sequence[float],
-    kernel_tol: float = 1e-10,
-) -> ContactChart:
-    """Chart sending point to the origin, the local stable leaf into the
-    y-axis, and unstable_vec to (1, 0, 0), while preserving the contact form.
-
-    The stable leaf through the point is the kernel lift of the straight
-    planar line in direction stable_dir.  Both vectors must lie in ker alpha
-    at the point; their planar projections must be independent.
-    """
-    x0, y0, z0 = (float(t) for t in point)
-    s = tuple(float(t) for t in stable_dir)
-    u = tuple(float(t) for t in unstable_vec)
-    for name, v in (("stable_dir", s), ("unstable_vec", u)):
-        if abs(eval_alpha(point, v)) > kernel_tol * max(1.0, max(abs(c) for c in v)):
-            raise NotInKernel(f"{name} has alpha(v) = {eval_alpha(point, v):.3e} at the base point")
-    cross = u[0] * s[1] - u[1] * s[0]
-    scale = max(abs(s[0]), abs(s[1])) * max(abs(u[0]), abs(u[1]))
-    if scale == 0.0 or abs(cross) <= 1e-12 * scale:
-        raise DegenerateFrame("planar projections of stable_dir and unstable_vec are parallel")
-    if abs(s[1]) <= 1e-12 * abs(s[0]):
-        raise DegenerateFrame("stable leaf is not a graph over the y-axis (stable_dir[1] ~ 0)")
-
-    slope = s[0] / s[1]  # dx/dy along the leaf
-    k1 = leaf_straightening(
-        f_graph=lambda y: x0 + slope * (y - y0),
-        df_graph=lambda y: slope,
-        y_bar=y0,
-    )
-    p1 = k1.apply(point)
-    k2 = contact_translation(p1)
-    k21 = compose_charts(k2, k1)
-    v2 = k21.pushforward(point, u)
-    if abs(v2[2]) > 1e-9 * max(1.0, abs(v2[0]), abs(v2[1])):
-        raise NotInKernel(f"normalized unstable vector left the kernel: z-component {v2[2]:.3e}")
-    uu, sc = v2[0], v2[1]
-    if abs(uu) < 1e-12:
-        raise DegenerateFrame("unstable vector collapses onto the stable axis")
-    k3 = linear_contact_chart([[1.0 / uu, 0.0], [-sc, uu]])
-    return compose_charts(k3, k21)

@@ -62,10 +62,6 @@ class Cone2:
             out = np.where(den > 0, num / den, np.inf)
         return out
 
-    def contains(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.abs(self._l1(v)) <= self.aperture * np.abs(self._l2(v))
-
     def axis_direction(self) -> np.ndarray:
         d = np.array([-self.transverse[1], self.transverse[0]])
         return d / np.linalg.norm(d)
@@ -100,24 +96,6 @@ class Cone2:
     def stable_partner(self) -> "Cone2":
         """Cone with the two functionals swapped (same aperture)."""
         return Cone2(self.aperture, transverse=self.axial, axial=self.transverse)
-
-
-@dataclass(frozen=True)
-class ConeField3:
-    """{(eta, xi, zeta): (eta, xi) in base, delta |zeta| <= ||(eta, xi)||}."""
-
-    base: Cone2
-    delta: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta > 0 required")
-
-    def contains(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        planar = v[..., :2]
-        norm = np.linalg.norm(planar, axis=-1)
-        return self.base.contains(planar) & (self.delta * np.abs(v[..., 2]) <= norm)
 
 
 @dataclass(frozen=True)

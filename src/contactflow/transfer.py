@@ -226,25 +226,6 @@ def verify_lipschitz(obs: Observable, seed: int = 0, n_pairs: int = 1000) -> flo
 # ---------------------------------------------------------------------------
 
 
-def transfer_apply(flow, psi: Observable, t) -> Observable:
-    """``L_t psi``: psi composed with the time-(-t) flow, evaluated lazily."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t >= 0 required")
-
-    def ev(x, y, z):
-        shp = np.shape(x)
-        x1 = np.atleast_1d(np.asarray(x, dtype=float)).ravel() % 1.0
-        y1 = np.atleast_1d(np.asarray(y, dtype=float)).ravel() % 1.0
-        z1 = np.atleast_1d(np.asarray(z, dtype=float)).ravel()
-        pid = flow.base.piece_of_arrays(x1, y1)
-        bx, by, bz, _ = flow.backward_arrays(x1, y1, z1, pid, t)
-        return np.asarray(psi(bx, by, bz)).reshape(shp)
-
-    return Observable(evaluator=ev, sup_norm=psi.sup_norm,
-                      name=f"L[{t}]({psi.name})")
-
-
 @dataclass(frozen=True)
 class ResolventParams:
     """Laplace-transform quadrature parameters for ``z = a + ib``, a > 0.
@@ -397,15 +378,6 @@ def resolvent_power_detailed(flow, psi: Observable, params: ResolventParams,
     rv = resolvent_power_points(flow, psi, params, n, pts)
     return replace(rv, value=complex(rv.value[0]),
                    rule_error=float(rv.rule_error[0]))
-
-
-def resolvent_apply(flow, psi: Observable, params: ResolventParams, w) -> complex:
-    """``R(z) psi`` at w: the Laplace transform of ``t -> L_t psi (w)``."""
-    return resolvent_power_detailed(flow, psi, params, 1, w).value
-
-
-def resolvent_power(flow, psi: Observable, params: ResolventParams, n: int, w) -> complex:
-    return resolvent_power_detailed(flow, psi, params, n, w).value
 
 
 def resolvent_observable(flow, psi: Observable, params: ResolventParams,
@@ -665,33 +637,6 @@ class CorrelationSeries:
             for i in range(len(self.t)):
                 wr.writerow([fmt17(self.t[i]), fmt17(self.values[i].real),
                              fmt17(self.values[i].imag), fmt17(self.stderr[i])])
-
-    @classmethod
-    def from_csv(cls, path) -> "CorrelationSeries":
-        meta = {}
-        rows = []
-        with open(path, newline="") as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if "=" in tok:
-                            key, val = tok.split("=", 1)
-                            meta[key] = val
-                    continue
-                rows.append(line)
-        rd = csv.reader(rows)
-        header = next(rd)
-        if header[:4] != ["t", "C_re", "C_im", "stderr"]:
-            raise ValueError("unrecognized correlation CSV header")
-        data = np.array([[float(v) for v in row] for row in rd])
-        return cls(
-            t=data[:, 0], values=data[:, 1] + 1j * data[:, 2],
-            stderr=data[:, 3],
-            n_samples=int(meta.get("n_samples", 0)),
-            seed=int(meta.get("seed", 0)),
-            n_batches=int(meta.get("n_batches", 0)),
-            psi1_name=meta.get("psi1", ""), psi2_name=meta.get("psi2", ""),
-        )
 
 
 def correlation(flow, psi1: Observable, psi2: Observable, t_grid, n_samples: int,

@@ -1,24 +1,19 @@
-"""Mollifiers, stable-leaf averages, and the oscillatory-cancellation sweep."""
+"""Stable leaves, the oscillatory-cancellation sweep, and leaf decompositions."""
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from contactflow import (
-    ChartBoundary,
-    MollifierSpec,
     PieceExplosion,
     default_dolgopyat_params,
     dolgopyat_experiment,
-    dolgopyat_m_sweep,
     dolgopyat_value,
     flow_box_bump,
     leaf_through,
-    mollify,
-    mollify_detailed,
-    stable_average,
     stable_decomposition_stats,
     stable_direction,
     write_decomposition_csv,
@@ -26,72 +21,7 @@ from contactflow import (
 )
 from contactflow import constant_observable
 
-from helpers import interior_points
-
 PSI = dict(center=(0.3, 0.4, 0.5), halfwidths=(0.2, 0.2, 0.3))
-
-
-# ---------------------------------------------------------------------------
-# mollifier
-# ---------------------------------------------------------------------------
-
-
-def test_mollifier_unit_mass():
-    spec = MollifierSpec(0.01)
-    assert abs(spec.mass(128) - 1.0) < 1e-10
-
-
-def test_mollifier_spec_validation():
-    with pytest.raises(ValueError):
-        MollifierSpec(0.0)
-    with pytest.raises(ValueError):
-        MollifierSpec(0.01, nodes_per_axis=3)
-
-
-def test_mollify_reproduces_constants_exactly():
-    spec = MollifierSpec(0.01)
-    value = mollify(lambda x, y, z: np.full_like(x, 3.25), spec,
-                    (0.3, 0.4, 0.5))
-    assert value == pytest.approx(3.25, abs=1e-12)
-
-
-def test_mollify_reproduces_linear_at_interior_point():
-    # symmetric kernel: odd moments vanish, so affine functions pass through
-    spec = MollifierSpec(0.01)
-
-    def lin(x, y, z):
-        return 2.0 * x - y + 0.5 * z
-
-    value = mollify(lin, spec, (0.3, 0.4, 0.5))
-    assert value == pytest.approx(lin(0.3, 0.4, 0.5), abs=1e-12)
-
-
-def test_mollify_boundary_contact_strict_raises(flow):
-    spec = MollifierSpec(0.01)
-    psi = flow_box_bump(**PSI)
-    w = (0.5, 0.5, 0.005)  # epsilon-ball pokes below z = 0
-    res = mollify_detailed(psi, spec, w, flow=flow)
-    assert res.boundary_contact
-    assert math.isfinite(res.value)
-    with pytest.raises(ChartBoundary):
-        mollify(psi, spec, w, flow=flow, strict=True)
-    assert mollify(psi, spec, w, flow=flow, strict=False) == res.value
-
-
-def test_mollify_error_scales_with_epsilon(flow):
-    psi = flow_box_bump(**PSI)
-    xs, ys, zs = interior_points(flow, 200, seed=21, margin=2e-2)
-    sups = []
-    for eps in (0.02, 0.01, 0.005):
-        spec = MollifierSpec(eps)
-        worst = 0.0
-        for x, y, z in zip(xs, ys, zs):
-            err = abs(mollify(psi, spec, (x, y, z)) - psi(x, y, z))
-            worst = max(worst, err)
-        assert worst <= eps * math.sqrt(3.0) * psi.lipschitz
-        sups.append(worst / eps ** 2)
-    # the kernel is symmetric, so smooth observables converge at order two
-    assert max(sups) / min(sups) < 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -114,31 +44,6 @@ def test_leaf_closed_form_and_kernel_residual(flow):
         assert y == pytest.approx((0.4 - 0.5 * s) % 1.0, abs=1e-14)
         assert z == pytest.approx(0.5 + 0.4 * s - 0.25 * s * s, abs=1e-14)
     assert leaf.kernel_residual() < 1e-12
-
-
-def test_stable_average_constant_exact(flow):
-    value = stable_average(flow, lambda x, y, z: np.full_like(x, 2.5),
-                           0.1, (0.3, 0.4, 0.5))
-    assert value == pytest.approx(2.5, abs=1e-12)
-
-
-def test_stable_average_close_to_center_value(flow):
-    # probe points inside the bump support, where the error is nontrivial
-    psi = flow_box_bump(**PSI)
-    delta = 0.05
-    points = [(0.3, 0.4, 0.5), (0.25, 0.45, 0.55), (0.35, 0.38, 0.45),
-              (0.32, 0.36, 0.6), (0.28, 0.44, 0.42), (0.22, 0.47, 0.52)]
-    errs = []
-    for w in points:
-        a = stable_average(flow, psi, delta, w)
-        err = abs(a - psi(*w))
-        # leaf speed is below 2 in chart coordinates
-        assert err <= 2.0 * delta * psi.lipschitz
-        errs.append(err)
-    assert max(errs) > 0.0
-    half = [abs(stable_average(flow, psi, delta / 2, w) - psi(*w))
-            for w in points]
-    assert np.mean(half) < np.mean(errs)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +110,12 @@ def test_cancellation_sweep_small(flow):
 def test_cancellation_strengthens_with_power(flow):
     psi = flow_box_bump(**PSI)
     params = default_dolgopyat_params(flow)
-    rows = dolgopyat_m_sweep(flow, psi, params, ms=(1, 2), eval_points=10,
-                             seed=3)
-    assert [row["m"] for row in rows] == [1, 2]
-    assert rows[0]["ratio"] > rows[1]["ratio"] > 0.0
-    assert not any(row["flagged"] for row in rows)
+    tables = [dolgopyat_experiment(flow, psi, replace(params, m=m), [params.b],
+                                   eval_points=10, seed=3) for m in (1, 2)]
+    assert [table.m for table in tables] == [1, 2]
+    rows = [table.rows[0] for table in tables]
+    assert rows[0].ratio > rows[1].ratio > 0.0
+    assert not any(row.flagged for row in rows)
 
 
 def test_cancellation_csv_round_trip(flow, tmp_path):

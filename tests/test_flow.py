@@ -336,23 +336,34 @@ def test_scalar_and_batch_agree_on_a_boundary_hit(flow):
 
 
 def test_return_map_time_is_roof_value(flow):
-    (ix, iy), rt, pid = flow.return_map((0.1, 0.2))
-    assert rt == flow.roof.tau(0.1, 0.2, pid)
+    # the first return to the section {z = 0} comes after exactly the roof
+    # value of the starting piece and lands on the base-map image
+    pid = flow.base.piece_of(0.1, 0.2)
+    rt = flow.roof.tau(0.1, 0.2, pid)
+    ix, iy, _ = flow.base.apply(0.1, 0.2)
     assert (ix, iy) == pytest.approx((0.3, 0.35), abs=1e-15)
+    p = flow.flow_point(0.1, 0.2, 0.0)
+    before, after = FlowDiag(), FlowDiag()
+    q = flow.forward(p, rt - 1e-9, before)
+    assert before.crossings == 0
+    assert q.z == pytest.approx(rt, abs=1e-8)
+    q = flow.forward(p, rt + 1e-9, after)
+    assert after.crossings == 1
+    assert (q.x, q.y) == pytest.approx((ix, iy), abs=1e-12)
 
 
 def test_return_map_iterated_accumulates_roof(flow):
-    pt = (0.13, 0.57)
-    itinerary, total, end = flow.return_map_iter(pt, 6)
-    acc = 0.0
-    cur = pt
-    for k in range(6):
-        img, rt, pid = flow.return_map(cur)
-        assert itinerary[k] == pid
-        acc += rt
-        cur = img
-    assert total == pytest.approx(acc, abs=1e-10)
-    assert end == pytest.approx(cur, abs=1e-10)
+    # six returns to the section {z = 0} take the summed roof values and
+    # land on the sixth base-map iterate
+    x, y = 0.13, 0.57
+    total = 0.0
+    for _ in range(6):
+        total += flow.roof.tau(x, y, flow.base.piece_of(x, y))
+        x, y, _ = flow.base.apply(x, y)
+    diag = FlowDiag()
+    q = flow.forward(flow.flow_point(0.13, 0.57, 0.0), total + 0.5, diag)
+    assert diag.crossings == 6
+    assert (q.x, q.y, q.z) == pytest.approx((x, y, 0.5), abs=1e-10)
 
 
 def test_return_map_area_preserving_by_finite_differences(flow):
@@ -363,10 +374,10 @@ def test_return_map_area_preserving_by_finite_differences(flow):
         x, y = rng.random(2)
         if flow.base.distance_to_boundary_arrays(np.array([x]), np.array([y]))[0] < 10 * h:
             continue
-        (fx, fy), _, _ = flow.return_map((x, y))
+        fx, fy, _ = flow.base.apply(x, y)
         jac = np.empty((2, 2))
         for j, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
-            (px, py), _, _ = flow.return_map((x + dx, y + dy))
+            px, py, _ = flow.base.apply(x + dx, y + dy)
             jac[0, j] = wrap_diff(px, fx) / h
             jac[1, j] = wrap_diff(py, fy) / h
         assert abs(abs(np.linalg.det(jac)) - 1.0) < 1e-6
@@ -434,29 +445,6 @@ def test_box_mass_preserved_under_flow(flow):
             p = max(m0, 1e-4)
             sigma = np.sqrt(2.0 * p * (1 - p) / n)
             assert abs(m1 - m0) <= 3 * sigma + 1e-3
-
-
-def test_trajectory_rows_and_config(flow):
-    grid = [0.0, 0.5, 1.0, 1.5]
-    rows = list(flow.trajectory_rows(flow.flow_point(0.3, 0.4, 0.1), grid))
-    assert len(rows) == len(grid)
-    assert [r[0] for r in rows] == grid
-    for t, x, y, z, pid in rows:
-        assert 0.0 <= x < 1.0 and 0.0 <= y < 1.0 and z >= 0.0
-        assert pid == flow.base.piece_of(x, y)
-    cfg = flow.to_config()
-    assert cfg["tau_minus"] == 1.0
-    assert cfg["map"] == "f0"
-    assert len(cfg["pieces"]) == 4
-    for piece in cfg["pieces"]:
-        assert "matrix" in piece and "offset" in piece
-
-
-def test_perturbed_config_names_map_and_pieces(pflow):
-    cfg = pflow.to_config()
-    assert cfg["map"] == {"perturbed": 0.02}
-    names = [piece["name"] for piece in cfg["pieces"]]
-    assert len(names) == len(set(names)) == 12
 
 
 def test_perturbed_zero_epsilon_recovers_quadratic_roof(flow):

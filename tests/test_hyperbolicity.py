@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from contactflow import (
     Cone2,
-    ConeField3,
     HyperbolicityParams,
     SuspensionFlow,
     build_roof,
@@ -37,8 +36,6 @@ def test_cone_aperture_homogeneous(c, u):
     ap1 = float(cone.aperture_of(v))
     ap2 = float(cone.aperture_of(c * np.asarray(v)))
     assert ap2 == pytest.approx(ap1, rel=1e-9, abs=1e-12)
-    if abs(ap1 - cone.aperture) > 1e-9:  # rounding can flip boundary rays
-        assert bool(cone.contains(v)) == bool(cone.contains(c * np.asarray(v)))
 
 
 def test_sample_directions_stay_inside():
@@ -47,15 +44,6 @@ def test_sample_directions_stay_inside():
     assert np.all(cone.aperture_of(dirs) <= 0.4 + 1e-12)
     with pytest.raises(ValueError):
         cone.sample_directions(1)
-
-
-def test_cone_field_excludes_flow_direction():
-    field = ConeField3(Cone2(1.0), 0.25)
-    assert not bool(field.contains((0.0, 0.0, 1.0)))
-    assert bool(field.contains((1.0, 1.0, 0.0)))
-    assert bool(field.contains((1.0, 1.0, 0.5)))
-    # membership is homogeneous
-    assert bool(field.contains((2.0, 2.0, 1.0)))
 
 
 def test_unit_cone_contracts_to_quarter_aperture():
@@ -191,7 +179,7 @@ def test_complexity_counts_exact_small(flow):
 
 def test_complexity_single_piece_control():
     base = single_piece_map()
-    control = SuspensionFlow(base, build_roof(base, 1.0), label="control")
+    control = SuspensionFlow(base, build_roof(base, 1.0))
     reports = complexity_counts(control, 4, method="exact")
     assert all(r.D_b == 1 and r.D_e == 1 for r in reports)
 

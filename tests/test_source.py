@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import contactflow
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "contactflow"
 
 
@@ -50,3 +52,67 @@ def test_perfbench_trace_targets_resolve():
             if obj is None:
                 missing.append(f"{layer}: {target}")
     assert missing == []
+
+
+# public names that nothing reaches yet, each with the reason it stays
+UNREACHED_ALLOWED = {
+    "check_bunching": "ROADMAP item 3 wires it into verify",
+    "check_transversality": "ROADMAP item 3 wires it into verify",
+}
+
+
+def _is_method(node) -> bool:
+    return isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+
+
+def _references(node) -> list[str]:
+    """Names a definition loads or reads as attributes.  A class's own part
+    is its decorators, bases and body without its non-dunder methods, which
+    are definitions of their own."""
+    parts = [node]
+    if isinstance(node, ast.ClassDef):
+        parts = [*node.decorator_list, *node.bases,
+                 *(stmt for stmt in node.body if not _is_method(stmt))]
+    refs = []
+    for part in parts:
+        for sub in ast.walk(part):
+            if isinstance(sub, ast.Name):
+                refs.append(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                refs.append(sub.attr)
+    return refs
+
+
+def _reached_names(roots: set[str]) -> set[str]:
+    """Names reachable from the src modules' module-level code (the CLI's
+    __main__ block among it) and from roots.  A reached name reaches what
+    every definition of that name references: top-level functions and
+    classes by name, methods by attribute name, in any module."""
+    defs: dict[str, list] = {}
+    todo = list(roots)
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                methods = [stmt for stmt in node.body if _is_method(stmt)] \
+                    if isinstance(node, ast.ClassDef) else []
+                for d in (node, *methods):
+                    defs.setdefault(d.name, []).append(d)
+            else:
+                todo += _references(node)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in defs.get(name, []):
+                todo += _references(node)
+    return reached
+
+
+def test_public_names_are_reached():
+    # an exported name that no experiment, trace target or kept code
+    # reaches is dead API: wire it into a check or delete it
+    traced = {part for targets in _trace_layers().values()
+              for target in targets for part in target.split(":")[1].split(".")}
+    reached = _reached_names(traced | set(UNREACHED_ALLOWED))
+    assert [name for name in contactflow.__all__ if name not in reached] == []

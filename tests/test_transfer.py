@@ -1,5 +1,6 @@
 """Transfer-operator tools: observables, resolvents, Ulam models, correlations."""
 
+import csv
 import math
 
 import numpy as np
@@ -7,17 +8,15 @@ import pytest
 
 from contactflow import (
     CorrelationSeries,
+    FlowPointBatch,
     NoiseFloor,
     ResolventParams,
     constant_observable,
     correlation,
     fit_decay,
     flow_box_bump,
-    resolvent_apply,
     resolvent_observable,
-    resolvent_power,
     resolvent_power_detailed,
-    transfer_apply,
     ulam_build,
     verify_lipschitz,
     write_resolvent_csv,
@@ -34,6 +33,17 @@ def _points(flow, n, seed=11):
             for i in range(n)]
 
 
+def _transfer(flow, psi, t, batch):
+    """(L_t psi) at the batch: psi along the time-t backward flow."""
+    bx, by, bz, bpid = flow.backward_arrays(batch.x, batch.y, batch.z,
+                                            batch.piece_id, t)
+    return psi(bx, by, bz), FlowPointBatch(bx, by, bz, bpid)
+
+
+def _resolvent(flow, psi, params, w, n=1):
+    return resolvent_power_detailed(flow, psi, params, n, w).value
+
+
 # ---------------------------------------------------------------------------
 # observables and the Koopman action
 # ---------------------------------------------------------------------------
@@ -41,18 +51,17 @@ def _points(flow, n, seed=11):
 
 def test_constant_observable_fixed_by_transfer(flow):
     one = constant_observable(1.0)
-    moved = transfer_apply(flow, one, 3.7)
-    for w in _points(flow, 50):
-        assert moved(*w) == 1.0
+    moved, _ = _transfer(flow, one, 3.7, flow.sample_invariant(11, 50))
+    assert np.all(moved == 1.0)
 
 
 def test_transfer_semigroup_vectorized(flow):
     psi = flow_box_bump(**BUMP)
     batch = flow.sample_invariant(4, 10_000)
-    once = transfer_apply(flow, transfer_apply(flow, psi, 1.3), 2.4)
-    joint = transfer_apply(flow, psi, 3.7)
-    a = once.values(batch)
-    b = joint.values(batch)
+    # L_2.4 L_1.3 psi: psi at the time-1.3 backward image of the time-2.4 one
+    _, mid = _transfer(flow, psi, 2.4, batch)
+    a, _ = _transfer(flow, psi, 1.3, mid)
+    b, _ = _transfer(flow, psi, 3.7, batch)
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -61,7 +70,7 @@ def test_transfer_preserves_invariant_mean(flow):
     psi = flow_box_bump(**BUMP)
     batch = flow.sample_invariant(9, 200_000)
     before = psi.values(batch)
-    after = transfer_apply(flow, psi, 2.0).values(batch)
+    after, _ = _transfer(flow, psi, 2.0, batch)
     diff = np.real(after - before)
     stderr = diff.std(ddof=1) / math.sqrt(diff.size)
     assert abs(diff.mean()) <= 3.0 * stderr + 1e-4
@@ -135,8 +144,8 @@ def test_resolvent_power_one_matches_apply(flow):
     params = ResolventParams(a=2.0, b=1.0, tolerance=1e-4)
     psi = flow_box_bump(**BUMP)
     for w in _points(flow, 5):
-        assert abs(resolvent_power(flow, psi, params, 1, w)
-                   - resolvent_apply(flow, psi, params, w)) < 1e-12
+        assert abs(_resolvent(flow, psi, params, w)
+                   - resolvent_observable(flow, psi, params, 1)(*w)) < 1e-12
 
 
 def test_resolvent_powers_of_constant_and_modulus(flow):
@@ -147,9 +156,9 @@ def test_resolvent_powers_of_constant_and_modulus(flow):
     for n in (1, 2, 3):
         bound = psi.sup_norm / params.a ** n
         for w in pts:
-            assert abs(resolvent_power(flow, one, params, n, w)
+            assert abs(_resolvent(flow, one, params, w, n)
                        - params.z ** (-n)) < 1e-7
-            assert abs(resolvent_power(flow, psi, params, n, w)) <= bound + 1e-8
+            assert abs(_resolvent(flow, psi, params, w, n)) <= bound + 1e-8
 
 
 def test_resolvent_inverts_generator_on_bump(flow):
@@ -174,8 +183,8 @@ def test_nested_resolvent_matches_power_two(flow):
     inner_obs = resolvent_observable(flow, psi, inner, 1)
     worst = 0.0
     for w in _points(flow, 50, seed=12):
-        nested = resolvent_apply(flow, inner_obs, outer, w)
-        closed = resolvent_power(flow, psi, params, 2, w)
+        nested = _resolvent(flow, inner_obs, outer, w)
+        closed = _resolvent(flow, psi, params, w, 2)
         worst = max(worst, abs(nested - closed))
     assert worst < 1e-3
 
@@ -190,9 +199,8 @@ def test_resolvent_identity(flow):
     r2_obs = resolvent_observable(flow, psi, p2, 1)
     worst = 0.0
     for w in _points(flow, 20, seed=8):
-        lhs = (resolvent_apply(flow, psi, p1, w)
-               - resolvent_apply(flow, psi, p2, w))
-        rhs = (p2.z - p1.z) * resolvent_apply(flow, r2_obs, outer, w)
+        lhs = _resolvent(flow, psi, p1, w) - _resolvent(flow, psi, p2, w)
+        rhs = (p2.z - p1.z) * _resolvent(flow, r2_obs, outer, w)
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-5
 
@@ -280,13 +288,16 @@ def test_correlation_csv_round_trip(flow, tmp_path):
     series = correlation(flow, psi, psi, [0.0, 0.5, 1.0], 5_000, seed=4)
     path = tmp_path / "corr.csv"
     series.to_csv(path)
-    back = CorrelationSeries.from_csv(path)
-    assert np.array_equal(back.t, series.t)
-    assert np.allclose(back.values, series.values, rtol=0, atol=0)
-    assert np.array_equal(back.stderr, series.stderr)
-    assert back.n_samples == series.n_samples
-    assert back.seed == series.seed
-    assert back.psi1_name == "probe"
+    with open(path, newline="") as fh:
+        meta = dict(tok.split("=", 1) for tok in fh.readline()[1:].split())
+        rows = list(csv.DictReader(fh))
+    assert np.array_equal([float(r["t"]) for r in rows], series.t)
+    values = [complex(float(r["C_re"]), float(r["C_im"])) for r in rows]
+    assert np.array_equal(values, series.values)
+    assert np.array_equal([float(r["stderr"]) for r in rows], series.stderr)
+    assert int(meta["n_samples"]) == series.n_samples
+    assert int(meta["seed"]) == series.seed
+    assert meta["psi1"] == "probe"
 
 
 # ---------------------------------------------------------------------------
