@@ -534,7 +534,7 @@ def _closedness_exact(flow: SuspensionFlow) -> tuple[bool, str]:
 
     The gradient is pinned to (y - f2*df1/dx, -f2*df1/dy); the mixed-partial
     gap of that 1-form is 1 - det, and the stored quadratic must carry
-    exactly the pinned coefficients.
+    exactly the pinned coefficients (a missing key reads as 0).
     """
     problems = []
     for i, piece in enumerate(flow.base.pieces):
@@ -548,7 +548,7 @@ def _closedness_exact(flow: SuspensionFlow) -> tuple[bool, str]:
             "qyy": -m[0][1] * m[1][1] / 2,
         }
         for key, val in want.items():
-            if Fraction(coeff[key]) != val:
+            if Fraction(coeff.get(key, 0)) != val:
                 problems.append(f"piece {piece.name}: {key} != pinned value")
     return not problems, "; ".join(problems)
 
@@ -1124,9 +1124,9 @@ def run(config: ExperimentConfig) -> RunManifest:
 # wall time of one process at the defaults on a 2-core x86-64 VM (README)
 _RUNTIME_NOTES = {
     "verify": "about 1 s at defaults",
-    "correlate": "about 30 s per 10^6 samples at defaults",
+    "correlate": "about 11 s per 10^6 samples at defaults",
     "resolvent": "about 2 s at defaults",
-    "ulam": "about 25 s at defaults (refinement doubling included)",
+    "ulam": "about 13 s at defaults (refinement doubling included)",
     "dolgopyat": "about 6 s at defaults",
     "complexity": "about 100 s at defaults (exact to n = 8)",
     "normcheck": "about 7 s at defaults",

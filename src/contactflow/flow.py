@@ -155,10 +155,9 @@ class PiecewiseAffineTorusMap:
 
     def lift_image_arrays(self, x, y, pid):
         """Per-piece affine image before the (measure-zero) final wrap."""
-        m = self._mats[pid]
-        o = self._offs[pid]
-        u = m[..., 0, 0] * x + m[..., 0, 1] * y + o[..., 0]
-        v = m[..., 1, 0] * x + m[..., 1, 1] * y + o[..., 1]
+        m, o = self._mats, self._offs  # gathered one entry at a time
+        u = m[:, 0, 0][pid] * x + m[:, 0, 1][pid] * y + o[:, 0][pid]
+        v = m[:, 1, 0][pid] * x + m[:, 1, 1][pid] * y + o[:, 1][pid]
         return u, v
 
     def apply(self, x: float, y: float) -> tuple[float, float, int]:
@@ -286,28 +285,31 @@ class RoofFunction:
     volume: Fraction
 
     def __post_init__(self):
+        # one row per coefficient, so a point gathers each one separately
         self._c = np.array(
-            [[float(c.get(k, 0)) for k in ("const", "lx", "ly", "qxx", "qxy", "qyy")] for c in self.coeffs]
+            [[float(c.get(k, 0)) for c in self.coeffs] for k in ("const", "lx", "ly", "qxx", "qxy", "qyy")]
         )
 
     def tau_arrays(self, x: np.ndarray, y: np.ndarray, pid: np.ndarray) -> np.ndarray:
-        c = self._c[pid]
+        if np.any(pid < 0):
+            raise NonFinite("roof asked at a piece id < 0 (a point no piece claims)")
+        c = self._c
         return (
-            c[..., 0]
-            + c[..., 1] * x
-            + c[..., 2] * y
-            + c[..., 3] * x * x
-            + c[..., 4] * x * y
-            + c[..., 5] * y * y
+            c[0][pid]
+            + c[1][pid] * x
+            + c[2][pid] * y
+            + c[3][pid] * x * x
+            + c[4][pid] * x * y
+            + c[5][pid] * y * y
         )
 
     def tau(self, x: float, y: float, pid: int) -> float:
         return float(self.tau_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(pid)))
 
     def grad_arrays(self, x: np.ndarray, y: np.ndarray, pid: np.ndarray):
-        c = self._c[pid]
-        gx = c[..., 1] + 2.0 * c[..., 3] * x + c[..., 4] * y
-        gy = c[..., 2] + c[..., 4] * x + 2.0 * c[..., 5] * y
+        c = self._c
+        gx = c[1][pid] + 2.0 * c[3][pid] * x + c[4][pid] * y
+        gy = c[2][pid] + c[4][pid] * x + 2.0 * c[5][pid] * y
         return gx, gy
 
 
@@ -491,22 +493,44 @@ class SuspensionFlow:
         rem = np.broadcast_to(np.asarray(t, dtype=float), x.shape).copy()
         if not np.all(np.isfinite(rem)) or np.any(rem < 0):
             raise NonFinite("forward times must be finite and >= 0")
+        tau = self.roof.tau_arrays(x, y, pid)
+        self._advance(*(a.reshape(-1) for a in (x, y, z, pid, tau, rem)), diag)
+        return x, y, z, pid
+
+    def _advance(self, x, y, z, pid, tau, rem, diag: FlowDiag | None = None):
+        """Move flat point arrays forward in place by the times rem >= 0.
+
+        tau carries each point's roof value tau(x, y, pid), in place too:
+        it is recomputed only where a point crossed the section.  Each pass
+        moves the active points to their roof or by their remaining time,
+        and only the points that crossed stay active.
+        """
+        act = slice(None)  # the first pass takes every point, through views
         while True:
-            tau = self.roof.tau_arrays(x, y, pid)
-            gap = tau - z
-            cross = rem >= gap
-            if not np.any(cross):
-                z += rem
-                return x, y, z, pid
-            stay = ~cross
-            z[stay] += rem[stay]
-            rem[stay] = 0.0
-            rem[cross] -= gap[cross]
-            nx, ny, npid = self.base.apply_arrays(x[cross], y[cross])
-            x[cross], y[cross], pid[cross] = nx, ny, npid
-            z[cross] = 0.0
+            zi, ri, ti = z[act], rem[act], tau[act]
+            gap = ti - zi
+            cross = ri >= gap
+            if not cross.any():
+                z[act] = zi + ri
+                return
+            # + 0.0: a point that stays while others cross takes one more
+            # pass of zero time, which turns a -0.0 height into 0.0
+            zs = zi + ri + 0.0
+            # a height rounded up onto the roof crosses on the next pass
+            again = ~cross & (zs >= ti)
+            z[act] = np.where(cross, 0.0, zs)
+            rem[act] = np.where(cross, ri - gap, 0.0)
+            act_c = np.flatnonzero(cross)
+            act_n = np.flatnonzero(cross | again) if again.any() else act_c
+            if not isinstance(act, slice):
+                act_c, act_n = act[act_c], act[act_n]
+            del zi, ri, ti, gap, cross, zs, again  # free before the map step
+            nx, ny, npid = self.base.apply_arrays(x[act_c], y[act_c])
+            x[act_c], y[act_c], pid[act_c] = nx, ny, npid
+            tau[act_c] = self.roof.tau_arrays(nx, ny, npid)
             if diag is not None:
                 diag.add(self.base.distance_to_boundary_arrays(nx, ny))
+            act = act_n
 
     def backward_arrays(self, x, y, z, pid, t, diag: FlowDiag | None = None):
         """Evolve arrays of points backward by t; z = 0 belongs to the

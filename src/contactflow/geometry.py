@@ -33,7 +33,6 @@ class ContactChart:
     grad_a: Callable[[float, float], tuple[float, float]]
     grad_b: Callable[[float, float], tuple[float, float]]
     grad_c: Callable[[float, float], tuple[float, float]]
-    label: str = "chart"
 
     def apply(self, point: Sequence[float]) -> tuple[float, float, float]:
         x, y, z = (float(t) for t in point)
@@ -48,7 +47,6 @@ def identity_chart() -> ContactChart:
         grad_a=lambda x, y: (1.0, 0.0),
         grad_b=lambda x, y: (0.0, 1.0),
         grad_c=lambda x, y: (0.0, 0.0),
-        label="identity",
     )
 
 
@@ -71,7 +69,6 @@ def linear_contact_chart(m) -> ContactChart:
         grad_a=lambda x, y: (m00, m01),
         grad_b=lambda x, y: (m10, m11),
         grad_c=lambda x, y: (2 * q20 * x + q11 * y, q11 * x + 2 * q02 * y),
-        label=f"linear[{m00},{m01};{m10},{m11}]",
     )
 
 
@@ -85,7 +82,6 @@ def contact_translation(anchor: Sequence[float]) -> ContactChart:
         grad_a=lambda x, y: (1.0, 0.0),
         grad_b=lambda x, y: (0.0, 1.0),
         grad_c=lambda x, y: (-ay_, 0.0),
-        label=f"translate{tuple(round(v, 6) for v in (ax_, ay_, az_))}",
     )
 
 
@@ -118,7 +114,7 @@ def compose_charts(outer: ContactChart, inner: ContactChart) -> ContactChart:
         ocx, ocy = gc_outer(x, y)
         return (icx + ocx, icy + ocy)
 
-    return ContactChart(a=a, b=b, c=c, grad_a=ga, grad_b=gb, grad_c=gc, label=f"{outer.label}*{inner.label}")
+    return ContactChart(a=a, b=b, c=c, grad_a=ga, grad_b=gb, grad_c=gc)
 
 
 @dataclass

@@ -150,7 +150,9 @@ def flow_box_bump(center, halfwidths, amplitude: float = 1.0,
 
     ``phi(u) = exp(1 - 1/(1 - u^2))`` for |u| < 1, zero outside, so the
     result is smooth with closed-form gradient.  The x and y offsets wrap
-    around the torus, z does not.  The declared Lipschitz bound
+    around the torus, z does not.  Values are computed only at points inside
+    the z-support; elsewhere they are the zero amp * 0 gives, signed like
+    amp.  The declared Lipschitz bound
     ``amp * max|phi'| * sqrt(sum r_i^-2)`` is spot-verified on 10^3 random
     pairs at construction.
     """
@@ -163,6 +165,9 @@ def flow_box_bump(center, halfwidths, amplitude: float = 1.0,
     if cz - rz < 0.0:
         raise ValueError("support must stay in z >= 0")
     amp = float(amplitude)
+    if not math.isfinite(amp):
+        raise ValueError("amplitude must be finite")
+    zero = math.copysign(0.0, amp)
 
     def _u(x, y, z):
         return (wrap_delta(x - cx) / rx,
@@ -170,8 +175,12 @@ def flow_box_bump(center, halfwidths, amplitude: float = 1.0,
                 (z - cz) / rz)
 
     def ev(x, y, z):
-        ux, uy, uz = _u(x, y, z)
-        return amp * bump(ux) * bump(uy) * bump(uz)
+        x, y, z = np.broadcast_arrays(x, y, z)
+        out = np.full(z.shape, zero)
+        inside = np.flatnonzero(np.abs((z - cz) / rz) < 1.0)  # bump's |u| < 1 test
+        ux, uy, uz = _u(*(np.ravel(v)[inside] for v in (x, y, z)))
+        out.flat[inside] = amp * bump(ux) * bump(uy) * bump(uz)
+        return out
 
     def grad(x, y, z):
         ux, uy, uz = _u(x, y, z)
@@ -441,25 +450,47 @@ class UlamModel:
         return float(np.abs(v @ self.matrix - v).sum())
 
 
+def _rect_classes(piece, nx: int, ny: int) -> np.ndarray:
+    """How each rectangle of the nx x ny grid on [0, 1]^2 meets the piece's
+    closed domain, from exact corner signs against its half-planes: 1 when
+    the rectangle lies inside it, -1 when they share no area (clipping
+    leaves fewer than 3 vertices), 0 when an edge straddles it."""
+    i = np.arange(nx + 1)[:, None]
+    j = np.arange(ny + 1)[None, :]
+    inside = np.ones((nx, ny), dtype=bool)
+    outside = np.zeros((nx, ny), dtype=bool)
+    for a, b, op, c in piece.halfplanes:
+        # s * (a x + b y - c) at the node (i / nx, j / ny), scaled to integers
+        s = (1 if op[0] == ">" else -1) * math.lcm(a.denominator, b.denominator, c.denominator)
+        g = int(s * a * ny) * i + int(s * b * nx) * j - int(s * c * nx * ny)
+        corners = np.stack([g[:-1, :-1], g[1:, :-1], g[:-1, 1:], g[1:, 1:]])
+        outside |= corners.max(axis=0) <= 0
+        inside &= corners.min(axis=0) >= 0
+    return np.where(outside, -1, np.where(inside, 1, 0))
+
+
 def _column_roof_max(flow, nx: int, ny: int) -> np.ndarray:
     """Max of the roof over each (x, y) grid rectangle.
 
     Exact per-piece quadratic extrema when the base map and roof expose
-    rational pieces; otherwise a dense probe with 2% headroom (cells kept
+    rational pieces, clipping only the rectangles that straddle a piece
+    edge; otherwise a dense probe with 2% headroom (cells kept
     by the headroom but carrying no volume are dropped at sampling time).
     """
     out = np.empty((nx, ny))
     base, roof = flow.base, flow.roof
     # exact clipping needs rational pieces; perfbench benchmarks both branches
     if hasattr(roof, "coeffs") and hasattr(base, "pieces"):
-        polys = [p.polygon for p in base.pieces]
+        classes = [_rect_classes(p, nx, ny) for p in base.pieces]
         for i in range(nx):
             x0, x1 = Fraction(i, nx), Fraction(i + 1, nx)
             for j in range(ny):
                 rect = pg.rect_polygon(x0, x1, Fraction(j, ny), Fraction(j + 1, ny))
                 best = None
-                for cf, poly in zip(roof.coeffs, polys):
-                    inter = pg.clip_convex(rect, poly)
+                for cf, piece, cls in zip(roof.coeffs, base.pieces, classes):
+                    if cls[i, j] < 0:
+                        continue
+                    inter = rect if cls[i, j] > 0 else pg.clip_convex(rect, piece.polygon)
                     if len(inter) >= 3:
                         _, _, mx, _ = pg.quadratic_extrema_over_polygon(cf, inter)
                         best = mx if best is None else max(best, mx)
@@ -476,6 +507,68 @@ def _column_roof_max(flow, nx: int, ny: int) -> np.ndarray:
             pid = base.piece_of_arrays(x, y)
             out[i, j] = float(flow.roof.tau_arrays(x, y, pid).max())
     return out * 1.02
+
+
+def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
+                  seed: int):
+    """Rejection samples below the roof in each cell (i, j, k) of cells.
+
+    Cell c draws from its own stream spawn_rng(seed, 1, c's flat index), in
+    rounds of max(256, samples_per_cell) points, until it holds
+    samples_per_cell points or has drawn 256 * samples_per_cell.  Each round
+    serves a pool of cells holding at most _BLOCK_ELEMENTS points, with one
+    piece lookup and one roof evaluation; the pool refills in cell order as
+    cells finish, and each cell writes its kept points to its own row.
+    Returns per-cell (kept, accepted, drawn) counts and the kept points
+    (x, y, z, pid), ordered by cell, then round, then draw.
+    """
+    nx, ny, nz = partition
+    dz = flow.tau_max / nz
+    zlow = np.arange(nz) * dz
+    m = max(256, samples_per_cell)
+    cap = 256 * samples_per_cell
+    n = len(cells)
+    got = np.zeros(n, dtype=np.int64)
+    accepted = np.zeros_like(got)
+    drawn = np.zeros_like(got)
+    out = [np.empty((n, samples_per_cell)) for _ in range(3)]
+    out.append(np.empty((n, samples_per_cell), dtype=np.int64))
+    pool = max(1, _BLOCK_ELEMENTS // m)
+    rngs = {}
+    act = np.empty(0, dtype=np.int64)
+    started = 0
+    while True:
+        new = np.arange(started, min(started + pool - act.size, n))
+        started += new.size
+        rngs.update((c, spawn_rng(seed, 1, (i * ny + j) * nz + k))
+                    for c, (i, j, k) in zip(new, cells[new]))
+        act = np.concatenate([act, new])
+        if not act.size:
+            break
+        u = np.empty((act.size, 3, m))
+        for row, c in zip(u, act):
+            rngs[c].random(out=row)
+        i, j, k = (v[:, None] for v in cells[act].T)
+        x = (i + u[:, 0]) / nx
+        y = (j + u[:, 1]) / ny
+        z = zlow[k] + u[:, 2] * dz
+        pid = flow.base.piece_of_arrays(x, y)
+        acc = z < flow.roof.tau_arrays(x, y, pid)
+        n_acc = acc.sum(axis=1)
+        rank = got[act][:, None] + np.cumsum(acc, axis=1)  # 1-based slot in the row
+        keep = acc & (rank <= samples_per_cell)
+        cell, slot = act[np.nonzero(keep)[0]], rank[keep] - 1
+        for dst, src in zip(out, (x, y, z, pid)):
+            dst[cell, slot] = src[keep]
+        got[act] = np.minimum(got[act] + n_acc, samples_per_cell)
+        accepted[act] += n_acc
+        drawn[act] += m
+        done = (got[act] == samples_per_cell) | (drawn[act] >= cap)
+        for c in act[done]:
+            del rngs[c]
+        act = act[~done]
+    filled = np.arange(samples_per_cell) < got[:, None]
+    return (got, accepted, drawn, *(v[filled] for v in out))
 
 
 def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamModel:
@@ -501,66 +594,24 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamMode
 
     col_max = _column_roof_max(flow, nx, ny)
     dz = flow.tau_max / nz
-    zlow = np.arange(nz) * dz
-    candidates = [(i, j, k) for i in range(nx) for j in range(ny)
-                  for k in range(nz) if col_max[i, j] > zlow[k]]
-    n_dropped = nx * ny * nz - len(candidates)
-
+    cells = np.argwhere(col_max[:, :, None] > (np.arange(nz) * dz)[None, None, :])
+    got, accepted, drawn, sx, sy, sz, spid = _sample_cells(
+        flow, cells, (nx, ny, nz), samples_per_cell, seed)
+    kept = got > 0
+    n_dropped = nx * ny * nz - int(kept.sum())
+    n_starved = int((got[kept] < samples_per_cell).sum())
     box_vol = (1.0 / nx) * (1.0 / ny) * dz
-    cap = 256 * samples_per_cell
-    kept = []
-    row_counts = []
-    volumes = []
-    sx, sy, sz, spid = [], [], [], []
-    n_starved = 0
-    for (i, j, k) in candidates:
-        rng = spawn_rng(seed, 1, (i * ny + j) * nz + k)
-        got = 0
-        drawn = 0
-        acc_total = 0
-        cx, cy, cz, cp = [], [], [], []
-        while got < samples_per_cell and drawn < cap:
-            m = max(256, samples_per_cell)
-            u = rng.random((3, m))
-            x = (i + u[0]) / nx
-            y = (j + u[1]) / ny
-            z = zlow[k] + u[2] * dz
-            pid = flow.base.piece_of_arrays(x, y)
-            tau = flow.roof.tau_arrays(x, y, pid)
-            acc = z < tau
-            drawn += m
-            acc_total += int(acc.sum())
-            take = min(int(acc.sum()), samples_per_cell - got)
-            if take > 0:
-                cx.append(x[acc][:take])
-                cy.append(y[acc][:take])
-                cz.append(z[acc][:take])
-                cp.append(pid[acc][:take])
-                got += take
-        if got == 0:
-            n_dropped += 1
-            continue
-        if got < samples_per_cell:
-            n_starved += 1
-        kept.append((i, j, k))
-        row_counts.append(got)
-        volumes.append(box_vol * acc_total / drawn)
-        sx.append(np.concatenate(cx))
-        sy.append(np.concatenate(cy))
-        sz.append(np.concatenate(cz))
-        spid.append(np.concatenate(cp))
+    volumes = box_vol * accepted[kept] / drawn[kept]
 
-    states = np.array(kept, dtype=np.int64).reshape(-1, 3)
+    states = cells[kept]
     n_states = len(states)
     if n_states == 0:
         raise EmptyCell("no cell carries volume below the roof")
     idx3 = -np.ones((nx, ny, nz), dtype=np.int64)
     idx3[states[:, 0], states[:, 1], states[:, 2]] = np.arange(n_states)
-    row_counts = np.array(row_counts, dtype=np.int64)
+    row_counts = got[kept]
 
-    fx, fy, fz, fpid = flow.forward_arrays(
-        np.concatenate(sx), np.concatenate(sy), np.concatenate(sz),
-        np.concatenate(spid), t)
+    fx, fy, fz, fpid = flow.forward_arrays(sx, sy, sz, spid, t)
     di = np.minimum((fx * nx).astype(np.int64), nx - 1)
     dj = np.minimum((fy * ny).astype(np.int64), ny - 1)
     dk = np.minimum((fz / dz).astype(np.int64), nz - 1)
@@ -588,7 +639,7 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamMode
 
     return UlamModel(
         partition=(nx, ny, nz), t=t, states=states, matrix=matrix,
-        volumes=np.array(volumes), eigenvalues=eigvals, leading=leading,
+        volumes=volumes, eigenvalues=eigvals, leading=leading,
         second_modulus=second_modulus, samples_per_cell=samples_per_cell,
         seed=int(seed), n_dropped=n_dropped, n_starved=n_starved,
         min_row_samples=int(row_counts.min()), row_sum_error=row_sum_error,
@@ -669,11 +720,12 @@ def correlation(flow, psi1: Observable, psi2: Observable, t_grid, n_samples: int
     errors = np.empty(t_grid.size)
     cx, cy = batch.x.copy(), batch.y.copy()
     cz, cp = batch.z.copy(), batch.piece_id.copy()
+    tau = flow.roof.tau_arrays(cx, cy, cp)  # carried: recomputed at crossings only
     t_prev = 0.0
     for oi in np.argsort(t_grid, kind="stable"):
         step = t_grid[oi] - t_prev
         if step > 0.0:
-            cx, cy, cz, cp = flow.forward_arrays(cx, cy, cz, cp, step)
+            flow._advance(cx, cy, cz, cp, tau, np.full(n, step))
             t_prev = t_grid[oi]
         v2 = psi2(cx, cy, cz)
         m2 = np.add.reduceat(v2, bounds) / sizes

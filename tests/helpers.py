@@ -1,6 +1,11 @@
 """Small shared utilities for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
+
+from contactflow import _polygon as pg
+from contactflow._rng import spawn_rng
 
 
 def wrap_diff(a, b):
@@ -63,3 +68,83 @@ def backward_orbit_reference(flow, x, y, z, pid, ts):
         x, y, pid = flow.base.apply_inverse(x, y)
         z = flow.roof.tau(x, y, pid)
     return ox, oy, oz, op
+
+
+def ulam_sampler_reference(flow, cells, partition, samples_per_cell, seed):
+    """Per-cell rejection loop: the reference for transfer._sample_cells.
+
+    Cell by cell, rounds of max(256, samples_per_cell) draws from the cell's
+    own stream until it holds samples_per_cell points below the roof or has
+    drawn 256 * samples_per_cell.  Returns per-cell (kept, accepted, drawn)
+    counts and the kept points (x, y, z, pid) in cell order.
+    """
+    nx, ny, nz = partition
+    dz = flow.tau_max / nz
+    zlow = np.arange(nz) * dz
+    cap = 256 * samples_per_cell
+    counts = []
+    sx, sy, sz, spid = [], [], [], []
+    for (i, j, k) in cells:
+        rng = spawn_rng(seed, 1, (i * ny + j) * nz + k)
+        got = drawn = acc_total = 0
+        while got < samples_per_cell and drawn < cap:
+            m = max(256, samples_per_cell)
+            u = rng.random((3, m))
+            x = (i + u[0]) / nx
+            y = (j + u[1]) / ny
+            z = zlow[k] + u[2] * dz
+            pid = flow.base.piece_of_arrays(x, y)
+            acc = z < flow.roof.tau_arrays(x, y, pid)
+            drawn += m
+            acc_total += int(acc.sum())
+            take = min(int(acc.sum()), samples_per_cell - got)
+            sx.append(x[acc][:take])
+            sy.append(y[acc][:take])
+            sz.append(z[acc][:take])
+            spid.append(pid[acc][:take])
+            got += take
+        counts.append((got, acc_total, drawn))
+    got, accepted, drawn = np.array(counts, dtype=np.int64).reshape(-1, 3).T
+    return (got, accepted, drawn, np.concatenate(sx), np.concatenate(sy),
+            np.concatenate(sz), np.concatenate(spid))
+
+
+def column_roof_max_reference(flow, nx, ny):
+    """Roof max over each grid rectangle with every piece clipped exactly:
+    the reference for the exact branch of transfer._column_roof_max."""
+    out = np.empty((nx, ny))
+    for i in range(nx):
+        for j in range(ny):
+            rect = pg.rect_polygon(Fraction(i, nx), Fraction(i + 1, nx),
+                                   Fraction(j, ny), Fraction(j + 1, ny))
+            best = None
+            for cf, piece in zip(flow.roof.coeffs, flow.base.pieces):
+                inter = pg.clip_convex(rect, piece.polygon)
+                if len(inter) >= 3:
+                    _, _, mx, _ = pg.quadratic_extrema_over_polygon(cf, inter)
+                    best = mx if best is None else max(best, mx)
+            out[i, j] = float(best)
+    return out
+
+
+def forward_reference(flow, x, y, z, pid, t):
+    """Whole-batch event stepping: the reference for SuspensionFlow.forward_arrays.
+
+    Every pass evaluates the roof at every point and moves each point to
+    its roof (crossing onto its image) or by its remaining time.
+    """
+    x, y, z = (np.array(v, dtype=float) for v in (x, y, z))
+    pid = np.array(pid, dtype=np.int64)
+    rem = np.broadcast_to(np.asarray(t, dtype=float), x.shape).copy()
+    while True:
+        gap = flow.roof.tau_arrays(x, y, pid) - z
+        cross = rem >= gap
+        if not np.any(cross):
+            z += rem
+            return x, y, z, pid
+        stay = ~cross
+        z[stay] += rem[stay]
+        rem[stay] = 0.0
+        rem[cross] -= gap[cross]
+        x[cross], y[cross], pid[cross] = flow.base.apply_arrays(x[cross], y[cross])
+        z[cross] = 0.0

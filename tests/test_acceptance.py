@@ -6,10 +6,12 @@ defaults are sized for.  The module suites exercise the same code paths at
 toy sizes; these runs are the slow, full-size ones.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+import scipy
 
 from contactflow import (
     Cone2,
@@ -153,3 +155,34 @@ def test_numeric_artifacts_identical_across_same_seed_reruns(
         outputs.append(blobs)
     assert outputs[0]  # at least one numeric artifact per experiment
     assert outputs[0] == outputs[1]
+
+
+# sha256 of the numeric artifacts of the benchmark's sampling operations at
+# seed 7, recorded before the Ulam sampler, the column max, the forward
+# stepper and the bump were batched (NumPy 2.4.6, SciPy 1.17.1, x86-64).
+# Those kernels promise the same bits, so any change here is a defect.
+SAMPLING_SHA256 = {
+    "ulam": {
+        "ulam_report.json": "16e9b935b71fd0b2540e0cc2c7fe2c84d4bc10178c06bf0699e3c651caaa1af4",
+        "ulam_spectrum.csv": "718e0b917639d090c2af86c8285a0b2dad40b33571dcd37ebeb539271af781b4",
+    },
+    "correlate": {
+        "correlation.csv": "04945a47f29da35f473b70e080a47c7f5e0cb12f730b42468463e663c11500c3",
+        "decay_fit.json": "9084cba20139e51ccc655f3fa2e2f58427e1f415c053fd9ae2d6dea85a991100",
+    },
+}
+SAMPLING_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+@pytest.mark.parametrize("experiment,parameters", [
+    ("ulam", {"refine": False}),
+    ("correlate", {"n_samples": 100000}),
+])
+def test_sampling_artifacts_match_recorded_sha256(tmp_path, experiment, parameters):
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if versions != SAMPLING_VERSIONS:
+        pytest.skip(f"hashes recorded with {SAMPLING_VERSIONS}, running {versions}")
+    manifest = _run(tmp_path, experiment, experiment, parameters=parameters, seed=7)
+    got = {name: hashlib.sha256((tmp_path / experiment / name).read_bytes()).hexdigest()
+           for name in manifest.artifacts if name != "manifest.json"}
+    assert got == SAMPLING_SHA256[experiment]

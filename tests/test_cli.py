@@ -1,11 +1,12 @@
 """Config parsing, manifests, exit codes, and artifact determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from contactflow import ConfigError
-from contactflow.cli import ExperimentConfig, load_config, main, run
+from contactflow import ConfigError, RoofFunction, SuspensionFlow, standard_map
+from contactflow.cli import ExperimentConfig, _closedness_exact, load_config, main, run
 
 
 def _config(tmp_path, data, name="config.json"):
@@ -159,6 +160,21 @@ def test_domain_error_becomes_failed_check(tmp_path):
     names = [c.name for c in manifest.checks]
     assert "runtime_PieceExplosion" in names
     assert (tmp_path / "boom" / "manifest.json").is_file()
+
+
+def test_closedness_fails_on_roof_without_quadratic_keys():
+    # a constant roof stores only "const"; the missing quadratic keys read as
+    # 0, which differs from every pinned value of the standard map
+    base = standard_map()
+    h = Fraction(6, 5)
+    roof = RoofFunction(coeffs=[{"const": h} for _ in base.pieces],
+                        tau_minus=float(h), tau_max=float(h),
+                        per_piece_inf=[h] * 4, per_piece_max=[h] * 4, volume=h)
+    ok, detail = _closedness_exact(SuspensionFlow(base, roof))
+    assert not ok
+    for piece in base.pieces:
+        for key in ("qxx", "qxy", "qyy"):
+            assert f"piece {piece.name}: {key} != pinned value" in detail
 
 
 def test_rerun_same_seed_byte_identical(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from contactflow import (
     ClosednessViolation,
     FlowDiag,
+    NonFinite,
     PathDependence,
     build_perturbed_map,
     build_roof,
@@ -18,7 +19,13 @@ from contactflow import (
 from contactflow import _polygon as pg
 from contactflow._rng import spawn_rng
 from contactflow.flow import PerturbedRoof, PerturbedTorusMap
-from helpers import backward_orbit_reference, grid_points, interior_points, wrap_diff
+from helpers import (
+    backward_orbit_reference,
+    forward_reference,
+    grid_points,
+    interior_points,
+    wrap_diff,
+)
 
 MAT = np.array([[1.0, 1.0], [0.5, 1.5]])
 
@@ -333,6 +340,56 @@ def test_scalar_and_batch_agree_on_a_boundary_hit(flow):
     x, y, z, pid = flow.forward_arrays([p.x], [p.y], [p.z], [p.piece_id], t)
     assert (q.x, q.y, q.z, q.piece_id) == (x[0], y[0], z[0], pid[0])
     assert q.piece_id == 3
+
+
+def test_carried_roof_stepping_matches_repeated_forward_arrays(flow):
+    # 60 grid steps of the boundary-hit point's roof height, as correlation
+    # steps: the roof values are carried from step to step instead of
+    # recomputed at each forward_arrays call
+    p = flow.flow_point(0.2, 0.6, 0.0)
+    h = flow.roof.tau(p.x, p.y, p.piece_id)
+    b = flow.sample_invariant(5, 2000)
+    start = [np.append(v, w) for v, w in ((p.x, b.x), (p.y, b.y), (p.z, b.z),
+                                          (p.piece_id, b.piece_id))]
+    ref = fwd = start
+    cur = [v.copy() for v in start]
+    tau = flow.roof.tau_arrays(*cur[:2], cur[3])
+    for step in range(60):
+        ref = forward_reference(flow, *ref, h)
+        fwd = flow.forward_arrays(*fwd, h)
+        flow._advance(*cur[:3], cur[3], tau, np.full(tau.size, h))
+        for a, b, c in zip(ref, fwd, cur):
+            assert a.dtype == b.dtype == c.dtype
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+        if step == 0:
+            assert cur[3][0] == 3  # the boundary hit
+    assert tau.tobytes() == flow.roof.tau_arrays(*cur[:2], cur[3]).tobytes()
+
+
+def test_forward_arrays_matches_reference_on_edge_heights(flow):
+    # heights one ulp under the roof, and -0.0 heights moved by -0.0 while
+    # other points cross, follow the whole-batch loop's rounding and sign
+    b = flow.sample_invariant(9, 3000)
+    tau = flow.roof.tau_arrays(b.x, b.y, b.piece_id)
+    z = b.z.copy()
+    z[:500] = np.nextafter(tau[:500], 0.0)
+    z[500:1000] = -0.0
+    t = 3.0 * spawn_rng(9, 1).random(z.size)
+    t[500:1000:2] = -0.0
+    t[1000:1200] = tau[1000:1200] - z[1000:1200]  # exactly onto the roof
+    ref = forward_reference(flow, b.x, b.y, z, b.piece_id, t)
+    got = flow.forward_arrays(b.x, b.y, z, b.piece_id, t)
+    for a, c in zip(ref, got):
+        assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
+    assert not np.signbit(got[2][500:1000]).any()
+
+
+def test_roof_rejects_unclaimed_piece_id(flow):
+    # piece id -1 marks a point no piece claims; it must not index the last
+    # piece's coefficients
+    with pytest.raises(NonFinite, match="piece id < 0"):
+        flow.roof.tau_arrays(np.array([0.3, 0.5]), np.array([0.4, 0.5]),
+                             np.array([0, -1]))
 
 
 def test_return_map_time_is_roof_value(flow):

@@ -49,7 +49,6 @@ def test_determinant_violation_flagged_not_raised():
         grad_a=lambda x, y: (2.0, 0.0),
         grad_b=lambda x, y: (0.0, 1.0),
         grad_c=lambda x, y: (0.0, 0.0),
-        label="stretch",
     )
     report = check_contact_chart(stretch, _grid_points())
     assert report.max_det_residual == 1.0

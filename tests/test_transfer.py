@@ -21,8 +21,15 @@ from contactflow import (
     verify_lipschitz,
     write_resolvent_csv,
 )
-from contactflow.transfer import _rule_nodes, resolvent_power_points
-from helpers import grid_points
+from contactflow._quadrature import bump, wrap_delta
+from contactflow._rng import spawn_rng
+from contactflow.transfer import (
+    _column_roof_max,
+    _rule_nodes,
+    _sample_cells,
+    resolvent_power_points,
+)
+from helpers import column_roof_max_reference, grid_points, ulam_sampler_reference
 
 BUMP = dict(center=(0.3, 0.4, 0.5), halfwidths=(0.2, 0.2, 0.3))
 
@@ -84,6 +91,29 @@ def test_flow_box_bump_metadata(flow):
     # declared Lipschitz constant dominates every sampled difference quotient
     slope = verify_lipschitz(psi, seed=2, n_pairs=2000)
     assert slope <= psi.lipschitz * 1.01
+
+
+@pytest.mark.parametrize("amplitude", [1.5, -2.0])
+def test_flow_box_bump_support_limited_equals_full_evaluation(amplitude):
+    psi = flow_box_bump(**BUMP, amplitude=amplitude)
+    (cx, cy, cz), (rx, ry, rz) = BUMP["center"], BUMP["halfwidths"]
+    rng = spawn_rng(5, 0)
+    x, y = rng.random((2, 20_000))
+    z = 2.5 * rng.random(20_000)
+    z[:4] = [cz - rz, cz + rz, np.nextafter(cz + rz, 0.0), np.nan]
+    x[4:7], y[4:7], z[4:7] = [np.nan, cx + rx, cx], [cy, cy, cy - ry], cz
+    full = (amplitude * bump(wrap_delta(x - cx) / rx) * bump(wrap_delta(y - cy) / ry)
+            * bump((z - cz) / rz))
+    got = psi(x, y, z)
+    assert got.tobytes() == full.tobytes()
+    zeros = got == 0.0
+    assert zeros.sum() > 10_000
+    assert np.all(np.signbit(got[zeros]) == (amplitude < 0))
+
+
+def test_flow_box_bump_rejects_non_finite_amplitude():
+    with pytest.raises(ValueError, match="amplitude"):
+        flow_box_bump(**BUMP, amplitude=math.inf)
 
 
 def test_flow_box_bump_partial_matches_fd():
@@ -237,6 +267,41 @@ def test_ulam_small_model_stochastic(flow):
     assert np.max(np.abs(row_sums - 1.0)) < 1e-12
     assert abs(model.leading - 1.0) < 1e-9
     assert model.second_modulus < 1.0
+
+
+@pytest.mark.parametrize("samples_per_cell", [100, 300])
+def test_ulam_sampler_matches_per_cell_reference(flow, samples_per_cell):
+    # 6 x 6 x 40 has top cells that yield no point (dropped) and too few
+    # (starved); the cells pass through the sampler pool several times over
+    part, spc = (6, 6, 40), samples_per_cell
+    dz = flow.tau_max / part[2]
+    col = _column_roof_max(flow, *part[:2])
+    cells = np.argwhere(col[:, :, None] > (np.arange(part[2]) * dz)[None, None, :])
+    got = _sample_cells(flow, cells, part, spc, seed=7)
+    ref = ulam_sampler_reference(flow, cells, part, spc, seed=7)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    counts, accepted, drawn = ref[:3]
+    kept = counts > 0
+    starved = kept & (counts < spc)
+    assert (~kept).any() and starved.any()
+
+    model = ulam_build(flow, 2.0, part, spc, seed=7)
+    assert np.array_equal(model.states, cells[kept])
+    assert model.n_dropped == np.prod(part) - kept.sum()
+    assert model.n_starved == starved.sum()
+    assert model.min_row_samples == counts[kept].min()
+    box_vol = (1.0 / part[0]) * (1.0 / part[1]) * dz
+    volumes = [box_vol * int(a) / int(d) for a, d in zip(accepted[kept], drawn[kept])]
+    assert model.volumes.tobytes() == np.array(volumes).tobytes()
+
+
+@pytest.mark.parametrize("nx,ny", [(24, 24), (7, 5), (6, 4)])
+def test_column_roof_max_classification_matches_full_clipping(flow, nx, ny):
+    # 24 x 24 and 6 x 4 put rectangle corners on piece edges (x + y = 1 and
+    # x + 3y = 2); 7 x 5 has unequal widths
+    got = _column_roof_max(flow, nx, ny)
+    assert got.tobytes() == column_roof_max_reference(flow, nx, ny).tobytes()
 
 
 def test_ulam_same_seed_reproduces(flow):
