@@ -37,10 +37,6 @@ def signed_area2(poly: Sequence[Point]) -> Fraction:
     return s
 
 
-def polygon_area(poly: Sequence[Point]) -> Fraction:
-    return abs(signed_area2(poly)) / 2
-
-
 def ensure_ccw(poly: Polygon) -> Polygon:
     if signed_area2(poly) < 0:
         return poly[::-1]

@@ -1,9 +1,9 @@
-"""Reproducible, scheduler-independent random streams.
+"""Reproducible random streams.
 
 Every stochastic routine draws from Philox generators keyed by
-(seed, stream path).  Work is split into fixed-size chunks whose stream key
-depends only on the chunk index, so results are bit-identical for any worker
-count.
+(seed, stream path).  Samplers draw in fixed-size chunks (or per cell) whose
+stream key depends only on the chunk (or cell) index, so the draws depend
+only on the seed and the sizes asked for.
 """
 
 from __future__ import annotations

@@ -257,8 +257,11 @@ class SymbolInequalityReport:
         return d
 
 
-def _symbol_sup_ratios(r, s, q, r_prime, s_prime, dmap, xi_max, n_per_axis,
-                       k2_over_k1):
+# the reporting rule of check_symbol_inequality: K2 = K2_OVER_K1 * K1
+K2_OVER_K1 = 10.0
+
+
+def _symbol_sup_ratios(r, s, q, r_prime, s_prime, dmap, xi_max, n_per_axis):
     vals = _nonnegative_log_grid(xi_max, n_per_axis)
     xu = vals[:, None, None]
     xs = vals[None, :, None]
@@ -269,7 +272,7 @@ def _symbol_sup_ratios(r, s, q, r_prime, s_prime, dmap, xi_max, n_per_axis,
     a_low = low(xu, xs, x0)
     b = sym(*dmap.dual_inverse_xi(xu, xs, x0))
     m = dmap.contraction_factor(r, s)
-    k1 = float(np.max(b / (m * a + k2_over_k1 * a_low)))
+    k1 = float(np.max(b / (m * a + K2_OVER_K1 * a_low)))
     k1_prime = float(np.max(b / a))
     k1_single = float(np.max(b / (m * a)))
     return k1, k1_prime, k1_single, m
@@ -277,32 +280,30 @@ def _symbol_sup_ratios(r, s, q, r_prime, s_prime, dmap, xi_max, n_per_axis,
 
 def check_symbol_inequality(r: float, s: float, q: float, r_prime: float,
                             s_prime: float, dmap: HyperbolicBlockMap,
-                            xi_max: float = 1e6, n_per_axis: int = 33,
-                            k2_over_k1: float = 10.0,
-                            enforce: bool = True) -> SymbolInequalityReport:
+                            xi_max: float = 1e6, n_per_axis: int = 33
+                            ) -> SymbolInequalityReport:
     """Measure the constants in the two-term symbol bound on a log grid.
 
     The bound only asserts existence of (K1, K2), so a reporting rule is
-    needed: K1 is minimized subject to K2 = k2_over_k1 * K1.  K1' is the
+    needed: K1 is minimized subject to K2 = K2_OVER_K1 * K1.  K1' is the
     best single-term constant for b <= K1' * a, and k1_single_term drops
     the companion term entirely (b <= K * M * a), which is the quantity
     that degenerates when the exponent window is violated.  Stability is
-    probed by doubling the frequency range.
+    probed by doubling the frequency range.  A violated exponent window is
+    reported (hypothesis_ok, hypothesis_messages), not raised, and the
+    constants are measured anyway.
     """
     msgs = _check_exponent_hypotheses(r, s, q, r_prime, s_prime)
-    if msgs and enforce:
-        raise HypothesisViolation("; ".join(msgs))
     k1, k1p, k1single, m = _symbol_sup_ratios(
-        r, s, q, r_prime, s_prime, dmap, xi_max, n_per_axis, k2_over_k1)
+        r, s, q, r_prime, s_prime, dmap, xi_max, n_per_axis)
     k1d, k1pd, _, _ = _symbol_sup_ratios(
-        r, s, q, r_prime, s_prime, dmap, 2.0 * xi_max, n_per_axis + 4,
-        k2_over_k1)
+        r, s, q, r_prime, s_prime, dmap, 2.0 * xi_max, n_per_axis + 4)
     rel = max(abs(k1d - k1) / k1 if k1 > 0 else 0.0,
               abs(k1pd - k1p) / k1p if k1p > 0 else 0.0)
     return SymbolInequalityReport(
         r=r, s=s, q=q, r_prime=r_prime, s_prime=s_prime,
         au=dmap.au, bs=dmap.bs, m_factor=m,
-        k1=k1, k2=k2_over_k1 * k1, k1_prime=k1p, k1_single_term=k1single,
+        k1=k1, k2=K2_OVER_K1 * k1, k1_prime=k1p, k1_single_term=k1single,
         xi_max=xi_max, n_per_axis=n_per_axis,
         k1_doubled=k1d, k1_prime_doubled=k1pd, rel_change=rel,
         hypothesis_ok=not msgs, hypothesis_messages=msgs)

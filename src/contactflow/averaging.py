@@ -158,72 +158,64 @@ def clip_leaf_to_domain(flow, leaf: StableLeaf, n_scan: int = 256,
 # ---------------------------------------------------------------------------
 
 
+# Leaf half-lengths are capped at DELTA_CAP and averaged with LEAF_NODES
+# Gauss-Legendre nodes; the time quadrature takes at least NODES_PER_UNIT
+# nodes per unit and stops at T_MAX: at a = 2 the kernel weight beyond
+# t = 12 is below e^{-24}, and the tail bound stays in the reported budget
+# either way, so no budget is enforced (the tolerance is infinite).
+DELTA_CAP = 0.25
+LEAF_NODES = 16
+NODES_PER_UNIT = 24
+T_MAX = 12.0
+
+
 @dataclass(frozen=True)
 class DolgopyatParams:
     """Parameters for the leaf-averaged resolvent-power experiment.
 
     The resolvent power is 2m at spectral point z = a + ib; leaves have
-    half-length delta = min(delta_cap, b^{-gamma}), recomputed from b
-    rather than stored.  nu_a = 1/(1 + ln(lambda_bar)/a) with lambda_bar
-    the measured per-unit-time expansion rate; lambda_bar > 1 keeps nu_a
-    in (0, 1).
+    half-length delta = min(DELTA_CAP, |b|^{-gamma}), computed per b.
+    nu_a = 1/(1 + ln(lambda_bar)/a) with lambda_bar the measured
+    per-unit-time expansion rate; lambda_bar > 1 keeps nu_a in (0, 1).
     """
 
     a: float
-    b: float
     m: int
     gamma: float
     lambda_bar: float
-    delta_cap: float = 0.25
-    leaf_nodes: int = 16
-    nodes_per_unit: int = 24
-    t_max: float | None = None
-    hard_tolerance: float | None = None
 
     def __post_init__(self):
         if not (self.a > 1.0):
             raise ValueError("need a > 1")
-        if not (self.b > 1.0):
-            raise ValueError("need b > 1")
         if not (isinstance(self.m, int) and self.m >= 1):
             raise ValueError("m must be an integer >= 1")
         if not (self.gamma > 0.0):
             raise ValueError("gamma must be positive")
         if not (self.lambda_bar > 1.0):
             raise ValueError("lambda_bar must exceed 1")
-        if not (0.0 < self.delta_cap):
-            raise ValueError("delta_cap must be positive")
-        if self.leaf_nodes < 4:
-            raise ValueError("need at least 4 leaf nodes")
 
     @property
     def nu_a(self) -> float:
         return 1.0 / (1.0 + math.log(self.lambda_bar) / self.a)
 
-    @property
-    def delta(self) -> float:
-        return self.delta_for(self.b)
-
     def delta_for(self, b: float) -> float:
         # |b| so that conjugate frequencies average over the same leaf;
         # b = 0 falls back to the cap (no oscillation scale to resolve).
         if b == 0.0:
-            return self.delta_cap
-        return min(self.delta_cap, abs(b) ** (-self.gamma))
+            return DELTA_CAP
+        return min(DELTA_CAP, abs(b) ** (-self.gamma))
 
     def nodes_per_unit_for(self, b: float) -> int:
         # Gauss panels resolve ~n/pi oscillations per unit; e^{-ibt} has
         # b/(2 pi) cycles per unit.  The cancellation makes the target
         # value far smaller than the integrand scale, so the density
         # carries a large headroom factor over the resolution threshold.
-        return max(self.nodes_per_unit, math.ceil(0.9 * abs(b)) + 15)
+        return max(NODES_PER_UNIT, math.ceil(0.9 * abs(b)) + 15)
 
     def resolvent_params(self, b: float) -> ResolventParams:
-        tol = self.hard_tolerance if self.hard_tolerance is not None \
-            else float("inf")
         return ResolventParams(a=self.a, b=b,
                                nodes_per_unit=self.nodes_per_unit_for(b),
-                               t_max=self.t_max, tolerance=tol)
+                               t_max=T_MAX, tolerance=float("inf"))
 
 
 def measured_lambda_bar(flow, aperture: float = 0.01) -> float:
@@ -234,13 +226,11 @@ def measured_lambda_bar(flow, aperture: float = 0.01) -> float:
     return params.lambda_u ** (1.0 / flow.volume)
 
 
-def default_dolgopyat_params(flow, a: float = 2.0, b: float = 8.0,
-                             m: int = 2, gamma: float = 0.7) -> DolgopyatParams:
-    """Measured lambda_bar and a truncation horizon of 12 time units: at
-    a = 2 the kernel weight beyond t = 12 is below e^{-24}, and the tail
-    bound stays in the reported budget either way."""
-    return DolgopyatParams(a=a, b=b, m=m, gamma=gamma,
-                           lambda_bar=measured_lambda_bar(flow), t_max=12.0)
+def default_dolgopyat_params(flow, a: float = 2.0, m: int = 2,
+                             gamma: float = 0.7) -> DolgopyatParams:
+    """DolgopyatParams with the flow's measured lambda_bar."""
+    return DolgopyatParams(a=a, m=m, gamma=gamma,
+                           lambda_bar=measured_lambda_bar(flow))
 
 
 def dolgopyat_value(flow, psi, params: DolgopyatParams, ws, b: float,
@@ -256,7 +246,7 @@ def dolgopyat_value(flow, psi, params: DolgopyatParams, ws, b: float,
     a budget is the leaf-weighted time-quadrature budget (tail + rule).
     """
     delta = params.delta_for(b)
-    n_nodes = n_leaf_nodes if n_leaf_nodes is not None else params.leaf_nodes
+    n_nodes = n_leaf_nodes if n_leaf_nodes is not None else LEAF_NODES
     coords, weights, lengths = [], [], []
     for w in ws:
         leaf = leaf_through(flow, w, delta)
@@ -348,7 +338,7 @@ def dolgopyat_experiment(flow, psi, params: DolgopyatParams, b_list,
     for b in b_list:
         vals, budgets = dolgopyat_value(flow, psi, params, pts, b)
         refined, _ = dolgopyat_value(flow, psi, params, pts[:1], b,
-                                     n_leaf_nodes=params.leaf_nodes + 8)
+                                     n_leaf_nodes=LEAF_NODES + 8)
         leaf_rule_err = abs(refined[0] - vals[0])
         sup_val = max([0.0, *cabs(vals)])
         max_budget = max([0.0, *budgets])

@@ -96,8 +96,8 @@ PARAM_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "correlate": {
         "psi1": ("bump", {"center": [0.3, 0.4, 0.30],
                           "halfwidths": [0.15, 0.15, 0.15]}),
-        "psi2": ("bump_or_one", {"center": [0.3, 0.4, 0.80],
-                                 "halfwidths": [0.15, 0.15, 0.25]}),
+        "psi2": ("bump", {"center": [0.3, 0.4, 0.80],
+                          "halfwidths": [0.15, 0.15, 0.25]}),
         "t_max": ("float", 30.0),
         "t_step": ("float", 0.5),
         "n_samples": ("int", 1000000),
@@ -138,7 +138,6 @@ PARAM_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "complexity": {
         "n_max": ("int", 8),
-        "method": ("choice:exact|sampling", "exact"),
         "control": ("bool", True),
     },
     "normcheck": {
@@ -185,7 +184,6 @@ TOLERANCES: dict[str, float] = {
     "chart_residual": 1e-8,
     "cone_aperture": 0.25 + 1e-9,
     "expansion_rel": 0.01,
-    "control_band": 0.0,
     "decay_positive": 0.0,
     "decay_ci": 0.0,
     "constant_identity": 1e-8,
@@ -237,11 +235,6 @@ def _validate_param(path: str, kind: str, value):
         if not _is_number(value):
             raise ConfigError(f"{path}: expected a number")
         return float(value)
-    if kind.startswith("choice:"):
-        options = kind.split(":", 1)[1].split("|")
-        if value not in options:
-            raise ConfigError(f"{path}: expected one of {options}")
-        return value
     if kind == "vec3":
         if (not isinstance(value, list) or len(value) != 3
                 or not all(_is_number(v) for v in value)):
@@ -268,16 +261,12 @@ def _validate_param(path: str, kind: str, value):
         return [[float(p[0]), float(p[1])] for p in value]
     if kind == "bump":
         return _validate_bump(path, value)
-    if kind == "bump_or_one":
-        if value == "one":
-            return "one"
-        return _validate_bump(path, value)
     raise AssertionError(f"unknown schema kind {kind}")
 
 
 def _validate_bump(path: str, value) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected {{center, halfwidths}} or \"one\"")
+        raise ConfigError(f"{path}: expected {{center, halfwidths}}")
     for key in value:
         if key not in ("center", "halfwidths"):
             raise ConfigError(f"{path}.{key}: unknown key")
@@ -737,9 +726,7 @@ def _bump_from_spec(spec: dict, name: str) -> transfer.Observable:
 
 def _run_correlate(flow, prm, seed, cfg, writer, checks):
     psi1 = _bump_from_spec(prm["psi1"], "psi1")
-    control = prm["psi2"] == "one"
-    psi2 = (transfer.constant_observable(1.0) if control
-            else _bump_from_spec(prm["psi2"], "psi2"))
+    psi2 = _bump_from_spec(prm["psi2"], "psi2")
     n_steps = int(round(prm["t_max"] / prm["t_step"]))
     t_grid = np.arange(n_steps + 1) * prm["t_step"]
     series = transfer.correlation(flow, psi1, psi2, t_grid,
@@ -747,26 +734,18 @@ def _run_correlate(flow, prm, seed, cfg, writer, checks):
                                   n_batches=prm["n_batches"])
     series.to_csv(writer.path("correlation.csv"))
 
-    if control:
-        band = float(np.max(np.abs(series.values) - 3.0 * series.stderr))
-        _check(checks, cfg, "control_band", band,
-               "max(|C| - 3 stderr) over the grid")
-        writer.write_json("decay_fit.json", {
-            "control": True, "max_abs_c": float(np.abs(series.values).max()),
-            "max_band_excess": band,
-        })
-    else:
-        fit = transfer.fit_decay(series, seed=seed, n_boot=prm["n_boot"],
-                                 min_points=prm["min_points"])
-        _check(checks, cfg, "decay_positive", fit.sigma_hat,
-               f"k_hat={fit.k_hat:.3e} n_used={fit.n_used}", passes=operator.gt)
-        _check(checks, cfg, "decay_ci", fit.ci_low,
-               f"ci=({fit.ci_low:.4f},{fit.ci_high:.4f})", passes=operator.gt)
-        writer.write_json("decay_fit.json", {
-            "control": False, "sigma_hat": fit.sigma_hat, "k_hat": fit.k_hat,
-            "ci_low": fit.ci_low, "ci_high": fit.ci_high,
-            "n_used": fit.n_used, "n_boot": fit.n_boot, "seed": fit.seed,
-        })
+    fit = transfer.fit_decay(series, seed=seed, n_boot=prm["n_boot"],
+                             min_points=prm["min_points"])
+    _check(checks, cfg, "decay_positive", fit.sigma_hat,
+           f"k_hat={fit.k_hat:.3e} n_used={fit.n_used}", passes=operator.gt)
+    _check(checks, cfg, "decay_ci", fit.ci_low,
+           f"ci=({fit.ci_low:.4f},{fit.ci_high:.4f})", passes=operator.gt)
+    # "control" stays false until a non-mixing control run exists
+    writer.write_json("decay_fit.json", {
+        "control": False, "sigma_hat": fit.sigma_hat, "k_hat": fit.k_hat,
+        "ci_low": fit.ci_low, "ci_high": fit.ci_high,
+        "n_used": fit.n_used, "n_boot": fit.n_boot, "seed": fit.seed,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -926,12 +905,12 @@ def _run_dolgopyat(flow, prm, seed, cfg, writer, checks):
 
 
 def _run_complexity(flow, prm, seed, cfg, writer, checks):
-    reports = complexity_counts(flow, prm["n_max"], method=prm["method"])
-    rows = [(r.n, r.D_b, r.D_e, r.rate_b, r.rate_e, r.cells_b, r.cells_e,
-             r.method) for r in reports]
+    reports = complexity_counts(flow, prm["n_max"])
+    rows = [(r.n, r.D_b, r.D_e, r.rate_b, r.rate_e, r.cells_b, r.cells_e)
+            for r in reports]
     writer.write_csv("complexity.csv",
                      ["n", "D_b", "D_e", "rate_b", "rate_e", "cells_b",
-                      "cells_e", "method"], rows)
+                      "cells_e"], rows)
 
     rates = [r.rate_b for r in reports if r.n >= 2]
     worst_step = max((b - a for a, b in zip(rates[:-1], rates[1:])),
@@ -944,8 +923,7 @@ def _run_complexity(flow, prm, seed, cfg, writer, checks):
     if prm["control"]:
         sp = single_piece_map()
         control_flow = SuspensionFlow(sp, build_roof(sp, flow.tau_minus))
-        ctrl = complexity_counts(control_flow, min(prm["n_max"], 6),
-                                 method=prm["method"])
+        ctrl = complexity_counts(control_flow, min(prm["n_max"], 6))
         flat = all(r.D_b == 1 and r.D_e == 1 for r in ctrl)
         checks.append(CheckResult("control_single_piece", flat,
                                   0.0 if flat else 1.0, 0.0,

@@ -14,7 +14,7 @@ class ClosednessViolation(ContactFlowError):
 
 
 class NonFinite(ContactFlowError):
-    """A time or coordinate argument is NaN or infinite."""
+    """A time or coordinate argument is NaN, infinite or out of its range."""
 
 
 class PathDependence(ContactFlowError):
@@ -23,10 +23,6 @@ class PathDependence(ContactFlowError):
 
 class ConeNotInvariant(ContactFlowError):
     """Expansion constants requested for a cone the map does not preserve."""
-
-
-class ArrangementDegeneracy(ContactFlowError):
-    """Polygon refinement produced slivers below the area floor."""
 
 
 class ToleranceNotMet(ContactFlowError):

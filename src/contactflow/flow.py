@@ -485,6 +485,12 @@ class SuspensionFlow:
         A point that reaches its roof lands at z = 0 on its image under the
         map, in the piece that claims the image, also when the image lies
         on a piece boundary.  diag, when given, records every landing.
+
+        Heights must satisfy 0 <= z < tau + tau_max.  Every height up to
+        tau_max passes, so a finite-difference stencil may step across a
+        roof jump; a height above its roof crosses at once.  A NaN height,
+        or one so far above the roof that it would take about z / tau
+        passes, raises NonFinite.
         """
         x = np.array(x, dtype=float, copy=True)
         y = np.array(y, dtype=float, copy=True)
@@ -494,6 +500,8 @@ class SuspensionFlow:
         if not np.all(np.isfinite(rem)) or np.any(rem < 0):
             raise NonFinite("forward times must be finite and >= 0")
         tau = self.roof.tau_arrays(x, y, pid)
+        if not np.all((z >= 0.0) & (z < tau + self.tau_max)):
+            raise NonFinite("forward heights must satisfy 0 <= z < tau + tau_max")
         self._advance(*(a.reshape(-1) for a in (x, y, z, pid, tau, rem)), diag)
         return x, y, z, pid
 

@@ -7,14 +7,12 @@ swapping the functionals gives the matching stable-side family around
 (1, -1/2).  Expansion constants are evaluated on cone boundary rays (for a
 2-D cone the extrema of |Mv|/|v| over the cone sit on its boundary; this is
 spot-checked densely at n = 1).  Complexity counts refine the base partition
-exactly in rational arithmetic, or by itinerary codes on a grid (lower
-bound).
+exactly in rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +20,7 @@ import numpy as np
 
 from . import _polygon as pg
 from ._rng import spawn_rng
-from .errors import ArrangementDegeneracy, ConeNotInvariant
+from .errors import ConeNotInvariant
 
 
 # ---------------------------------------------------------------------------
@@ -316,40 +314,29 @@ class ComplexityReport:
     rate_e: float
     cells_b: int = 0
     cells_e: int = 0
-    method: str = "exact"
-    lower_bound: bool = False
-    merged_slivers: int = 0
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n, "D_b": self.D_b, "D_e": self.D_e,
             "rate_b": self.rate_b, "rate_e": self.rate_e,
             "cells_b": self.cells_b, "cells_e": self.cells_e,
-            "method": self.method, "lower_bound": self.lower_bound,
         }
 
 
-SLIVER_AREA = Fraction(1, 10 ** 14)
-
-
-def _refine_level(cells: list[pg.Polygon], branches) -> tuple[list[pg.Polygon], int]:
+def _refine_level(cells: list[pg.Polygon], branches) -> list[pg.Polygon]:
     """Split each cell by the branches' clip polygons and pull every part
-    back through its branch's affine map (matrix, offset)."""
+    back through its branch's affine map (matrix, offset).
+
+    clip_convex drops repeated and collinear vertices, so a part with three
+    or more vertices has positive exact area and is kept, however small.
+    """
     out = []
-    slivers = 0
     for q in cells:
         for clip, mat, off in branches:
             r = pg.clip_convex(q, clip)
-            if len(r) < 3:
-                continue
-            a = pg.polygon_area(r)
-            if a == 0:
-                continue
-            if a < SLIVER_AREA:
-                slivers += 1
-                continue
-            out.append(pg.affine_image(r, mat, off))
-    return out, slivers
+            if len(r) >= 3:
+                out.append(pg.affine_image(r, mat, off))
+    return out
 
 
 def _max_incidence(cells: list[pg.Polygon]) -> int:
@@ -404,21 +391,10 @@ def _complexity_exact(base_map, n_max: int) -> list[ComplexityReport]:
     cells_b = [p.polygon for p in pieces]
     cells_e = list(images)
     reports = []
-    slivers_total = 0
     for n in range(1, n_max + 1):
         if n > 1:
-            cells_b, s1 = _refine_level(cells_b, fwd)
-            cells_e, s2 = _refine_level(cells_e, bwd)
-            slivers_total += s1 + s2
-            if s1 + s2:
-                warnings.warn(
-                    f"merged {s1 + s2} sliver cells below area 1e-14 at depth {n}",
-                    RuntimeWarning,
-                )
-                if s1 + s2 > max(1, (len(cells_b) + len(cells_e)) // 100):
-                    raise ArrangementDegeneracy(
-                        f"{s1 + s2} sliver cells at depth {n}; arrangement unreliable"
-                    )
+            cells_b = _refine_level(cells_b, fwd)
+            cells_e = _refine_level(cells_e, bwd)
         db = _max_incidence(cells_b)
         de = _max_incidence(cells_e)
         reports.append(
@@ -426,76 +402,20 @@ def _complexity_exact(base_map, n_max: int) -> list[ComplexityReport]:
                 n=n, D_b=db, D_e=de,
                 rate_b=math.log(db) / n, rate_e=math.log(de) / n,
                 cells_b=len(cells_b), cells_e=len(cells_e),
-                method="exact", merged_slivers=slivers_total,
             )
         )
     return reports
 
 
-def _complexity_sampling(base_map, n_max: int, grid: int = 2048) -> list[ComplexityReport]:
-    xs = (np.arange(grid) + 0.5) / grid
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    x, y = gx.ravel(), gy.ravel()
-    nb = len(base_map.pieces)
-
-    def codes(inverse: bool):
-        cx, cy = x.copy(), y.copy()
-        code = np.zeros(x.shape, dtype=np.int64)
-        mult = 1
-        seq = []
-        for _ in range(n_max):
-            pid = base_map.piece_of_arrays(cx, cy)
-            code = code + mult * pid
-            mult *= nb
-            seq.append(code.copy())
-            if inverse:
-                cx, cy, _ = base_map.apply_inverse_arrays(cx, cy)
-            else:
-                cx, cy, _ = base_map.apply_arrays(cx, cy)
-        return seq
-
-    def max_window_distinct(code):
-        c = code.reshape(grid, grid)
-        # distinct itinerary codes among the 3x3 torus window of samples
-        stacks = [np.roll(np.roll(c, dx, 0), dy, 1) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-        arr = np.stack(stacks)
-        arr.sort(axis=0)
-        distinct = 1 + (arr[1:] != arr[:-1]).sum(axis=0)
-        return int(distinct.max())
-
-    seq_b = codes(inverse=False)
-    seq_e = codes(inverse=True)
-    reports = []
-    for n in range(1, n_max + 1):
-        db = max_window_distinct(seq_b[n - 1])
-        de = max_window_distinct(seq_e[n - 1])
-        reports.append(
-            ComplexityReport(
-                n=n, D_b=db, D_e=de,
-                rate_b=math.log(db) / n, rate_e=math.log(de) / n,
-                method="sampling", lower_bound=True,
-            )
-        )
-    return reports
-
-
-def complexity_counts(flow, n_max: int, method: str = "exact") -> list[ComplexityReport]:
-    """Complexity reports for n = 1..n_max.
-
-    exact: rational-arithmetic refinement of the base partition (n_max <= 12);
-    sampling: itinerary codes on a 2048^2 grid, a labeled lower bound
-    (n_max <= 20).
+def complexity_counts(flow, n_max: int) -> list[ComplexityReport]:
+    """Complexity reports for n = 1..n_max (n_max <= 12), from the exact
+    rational refinement of the base partition: D_b(n) and D_e(n) are the
+    most cell closures of the n-step refinements meeting one torus point.
     """
     base = flow.base
-    # both methods read the exact pieces, which only a piecewise affine map has
+    # the refinement reads the exact pieces, which only a piecewise affine map has
     if not hasattr(base, "pieces"):
         raise ValueError("complexity counts need a piecewise affine map")
-    if method == "exact":
-        if n_max > 12:
-            raise ValueError("exact method supports n_max <= 12")
-        return _complexity_exact(base, n_max)
-    if method == "sampling":
-        if n_max > 20:
-            raise ValueError("sampling method supports n_max <= 20")
-        return _complexity_sampling(base, n_max)
-    raise ValueError(f"unknown method {method!r}")
+    if n_max > 12:
+        raise ValueError("complexity counts support n_max <= 12")
+    return _complexity_exact(base, n_max)

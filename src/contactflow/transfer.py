@@ -239,8 +239,8 @@ def verify_lipschitz(obs: Observable, seed: int = 0, n_pairs: int = 1000) -> flo
 class ResolventParams:
     """Laplace-transform quadrature parameters for ``z = a + ib``, a > 0.
 
-    ``rule`` is "gauss" (composite Gauss-Legendre on unit panels) or
-    "trapezoid"; ``nodes_per_unit`` sets the density.  ``t_max`` overrides
+    The rule is composite Gauss-Legendre on unit panels;
+    ``nodes_per_unit`` sets the density.  ``t_max`` overrides
     the default horizon ``(n log 41 + 40)/a``, which keeps the regularized
     Gamma tail near ``e^-40`` for moderate powers.  ``tolerance`` is the
     requested total error budget; a declared tail at or above it fails fast.
@@ -248,7 +248,6 @@ class ResolventParams:
 
     a: float
     b: float = 0.0
-    rule: str = "gauss"
     nodes_per_unit: int = 64
     t_max: Optional[float] = None
     tolerance: float = 1e-8
@@ -256,8 +255,6 @@ class ResolventParams:
     def __post_init__(self):
         if not self.a > 0.0:
             raise ValueError("a > 0 required")
-        if self.rule not in ("gauss", "trapezoid"):
-            raise ValueError('rule must be "gauss" or "trapezoid"')
         if self.nodes_per_unit < 2:
             raise ValueError("nodes_per_unit >= 2 required")
         if not self.tolerance > 0.0:
@@ -295,16 +292,9 @@ class ResolventValue:
 
 
 @lru_cache(maxsize=64)
-def _rule_nodes(rule: str, t_max: float, nodes_per_unit: int):
-    """Nodes and weights on [0, t_max]; cached, so returned read-only."""
-    if rule == "gauss":
-        ts, ws = composite_panels(t_max, nodes_per_unit)
-    else:
-        m = max(2, int(math.ceil(t_max * nodes_per_unit)) + 1)
-        ts = np.linspace(0.0, t_max, m)
-        ws = np.full(m, ts[1] - ts[0])
-        ws[0] *= 0.5
-        ws[-1] *= 0.5
+def _rule_nodes(t_max: float, nodes_per_unit: int):
+    """Gauss nodes and weights on [0, t_max]; cached, so returned read-only."""
+    ts, ws = composite_panels(t_max, nodes_per_unit)
     for arr in (ts, ws):
         arr.setflags(write=False)
     return ts, ws
@@ -342,8 +332,8 @@ def resolvent_power_points(flow, psi: Observable, params: ResolventParams,
         raise ToleranceNotMet(
             f"tail bound {tail:.3e} >= tolerance {params.tolerance:.3e}")
     t_max = params.horizon(n)
-    tq, wq = _rule_nodes(params.rule, t_max, params.nodes_per_unit)
-    tr_, wr = _rule_nodes(params.rule, t_max, 2 * params.nodes_per_unit)
+    tq, wq = _rule_nodes(t_max, params.nodes_per_unit)
+    tr_, wr = _rule_nodes(t_max, 2 * params.nodes_per_unit)
     if not isinstance(points, FlowPointBatch):
         points = flow.flow_points(*points)
     ts = np.concatenate([tq, tr_])

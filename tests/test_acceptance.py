@@ -81,9 +81,7 @@ def test_ulam_spectrum_stable_under_refinement(tmp_path):
     assert manifest.wall_time_s < 300.0
 
 
-def test_correlation_decay_detected_against_control(tmp_path):
-    control = _run(tmp_path, "correlate", "control",
-                   parameters={"psi2": "one"}, seed=7)
+def test_correlation_decay_detected_and_planted_rate_recovered(tmp_path):
     headline = _run(tmp_path, "correlate", "headline", seed=5)
 
     fit = json.loads((tmp_path / "headline" / "decay_fit.json").read_text())
@@ -102,7 +100,7 @@ def test_correlation_decay_detected_against_control(tmp_path):
             n_batches=64)
         assert abs(fit_decay(series, seed=seed).sigma_hat - 0.3) <= 0.02
 
-    assert control.wall_time_s + headline.wall_time_s <= 600.0
+    assert headline.wall_time_s <= 600.0
 
 
 def test_transform_norm_package_within_budget(tmp_path):
@@ -126,9 +124,20 @@ def test_oscillatory_cancellation_beats_trivial_bound(tmp_path):
     assert manifest.wall_time_s <= 600.0
 
 
+# exact (n, D_b, D_e, cells_b, cells_e) at the CLI defaults (n_max = 8)
+COMPLEXITY_ROWS = [
+    (1, 4, 4, 4, 4), (2, 9, 7, 12, 12), (3, 11, 9, 34, 34),
+    (4, 13, 11, 90, 90), (5, 15, 13, 204, 204), (6, 17, 15, 432, 432),
+    (7, 19, 17, 912, 912), (8, 21, 19, 1920, 1920),
+]
+
+
 def test_complexity_growth_subexponential_with_control(tmp_path):
     manifest = _run(tmp_path, "complexity", "complexity")
     assert _names(manifest) == {"rates_decreasing", "control_single_piece"}
+    report = json.loads((tmp_path / "complexity" / "complexity_report.json").read_text())
+    assert [(r["n"], r["D_b"], r["D_e"], r["cells_b"], r["cells_e"])
+            for r in report["rows"]] == COMPLEXITY_ROWS
     assert manifest.wall_time_s < 180.0
 
 

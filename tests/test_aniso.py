@@ -132,21 +132,19 @@ def test_symbol_constants_standard_exponents():
     assert 0.0 < rep.rel_change < 0.05
 
 
-def test_symbol_hypotheses_enforced():
+def test_symbol_hypotheses_violation_reported():
     bad = dict(EXPS, r=0.4, s=-0.3)  # violates s <= -r
-    with pytest.raises(HypothesisViolation):
-        check_symbol_inequality(**bad, dmap=DMAP)
-    rep = check_symbol_inequality(**bad, dmap=DMAP, enforce=False)
+    rep = check_symbol_inequality(**bad, dmap=DMAP)
     assert not rep.hypothesis_ok
-    assert rep.hypothesis_messages
+    assert rep.hypothesis_messages == ["need s <= -r, got s=-0.3, -r=-0.4"]
+    assert rep.k1 > 0.0
 
 
 def test_growth_diagnostic_inside_and_outside_window():
     # k1_prime = sup b/a, the best single-term constant, across iterates
     def growth(r, s):
         return [check_symbol_inequality(r, s, 0.0, 0.1, -0.5, DMAP.power(k),
-                                        xi_max=64.0, n_per_axis=17,
-                                        enforce=False).k1_prime
+                                        xi_max=64.0, n_per_axis=17).k1_prime
                 for k in (1, 2, 3)]
 
     inside = growth(0.3, -0.4)

@@ -53,15 +53,16 @@ def test_leaf_closed_form_and_kernel_residual(flow):
 
 def test_default_cancellation_params(flow):
     params = default_dolgopyat_params(flow)
-    assert (params.a, params.b, params.m, params.gamma) == (2.0, 8.0, 2, 0.7)
+    assert (params.a, params.m, params.gamma) == (2.0, 2, 0.7)
     assert params.lambda_bar == pytest.approx(1.512226, rel=1e-4)
-    assert params.t_max == 12.0
+    assert params.resolvent_params(8.0).t_max == 12.0
+    assert params.resolvent_params(8.0).tolerance == math.inf
     assert 0.0 < params.nu_a < 1.0
     assert params.nu_a == pytest.approx(
         1.0 / (1.0 + math.log(params.lambda_bar) / 2.0), abs=1e-15)
     assert params.delta_for(8.0) == pytest.approx(8.0 ** -0.7, abs=1e-15)
     assert params.delta_for(-8.0) == params.delta_for(8.0)
-    assert params.delta_for(0.0) == params.delta_cap
+    assert params.delta_for(0.0) == 0.25
     assert params.nodes_per_unit_for(128.0) == 131
 
 
@@ -110,7 +111,7 @@ def test_cancellation_sweep_small(flow):
 def test_cancellation_strengthens_with_power(flow):
     psi = flow_box_bump(**PSI)
     params = default_dolgopyat_params(flow)
-    tables = [dolgopyat_experiment(flow, psi, replace(params, m=m), [params.b],
+    tables = [dolgopyat_experiment(flow, psi, replace(params, m=m), [8.0],
                                    eval_points=10, seed=3) for m in (1, 2)]
     assert [table.m for table in tables] == [1, 2]
     rows = [table.rows[0] for table in tables]

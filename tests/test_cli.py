@@ -1,12 +1,22 @@
 """Config parsing, manifests, exit codes, and artifact determinism."""
 
+import ast
+import inspect
 import json
 from fractions import Fraction
 
 import pytest
 
 from contactflow import ConfigError, RoofFunction, SuspensionFlow, standard_map
-from contactflow.cli import ExperimentConfig, _closedness_exact, load_config, main, run
+from contactflow.cli import (
+    PARAM_SCHEMA,
+    ExperimentConfig,
+    _closedness_exact,
+    _validate_param,
+    load_config,
+    main,
+    run,
+)
 
 
 def _config(tmp_path, data, name="config.json"):
@@ -70,6 +80,24 @@ def test_exact_only_experiments_reject_perturbed_flow(tmp_path, capsys,
     assert main([experiment, "--config", path]) == 2
     assert "flow.map" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_parameter_kind_has_a_user():
+    # a kind _validate_param accepts (kind == "x" or kind.startswith("x"))
+    # that no schema entry uses is dead validation code
+    equal, prefix = set(), set()
+    for node in ast.walk(ast.parse(inspect.getsource(_validate_param))):
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                and node.left.id == "kind"):
+            equal.update(c.value for c in node.comparators)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "startswith"
+              and getattr(node.func.value, "id", None) == "kind"):
+            prefix.update(a.value for a in node.args)
+    used = {kind for schema in PARAM_SCHEMA.values() for kind, _ in schema.values()}
+    assert "bump" in equal  # the parse sees the branches
+    assert sorted(equal - used) == []
+    assert [p for p in prefix if not any(k.startswith(p) for k in used)] == []
 
 
 def test_seed_validation():
@@ -160,6 +188,23 @@ def test_domain_error_becomes_failed_check(tmp_path):
     names = [c.name for c in manifest.checks]
     assert "runtime_PieceExplosion" in names
     assert (tmp_path / "boom" / "manifest.json").is_file()
+
+
+def test_normcheck_records_violated_symbol_hypotheses(tmp_path):
+    # r' = 0.5 breaks the exponent window r' < r; the named check must fail
+    # in the manifest rather than the run ending in a runtime error
+    cfg = ExperimentConfig.from_json_dict(
+        {"experiment": "normcheck", "out": str(tmp_path / "nc"),
+         "parameters": {"r_prime": 0.5, "parseval_n": 8, "n_per_axis": 9,
+                        "grid_n": 32, "iter_n": 32, "mult_ns": [16, 32]}})
+    manifest = run(cfg)
+    by_name = {c.name: c for c in manifest.checks}
+    assert not any(name.startswith("runtime_") for name in by_name)
+    sym = by_name["symbol_hypotheses"]
+    assert not sym.passed
+    assert "need r' < r" in sym.detail
+    report = json.loads((tmp_path / "nc" / "normcheck_report.json").read_text())
+    assert report["symbol"]["hypothesis_ok"] is False
 
 
 def test_closedness_fails_on_roof_without_quadratic_keys():

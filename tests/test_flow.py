@@ -392,6 +392,19 @@ def test_roof_rejects_unclaimed_piece_id(flow):
                              np.array([0, -1]))
 
 
+def test_forward_rejects_heights_outside_the_flow_domain(flow):
+    # a NaN height used to come back NaN, and one near 1e300 to loop for
+    # about z / tau passes; a height a little above its roof crosses at once
+    x, y = np.array([0.3]), np.array([0.4])
+    pid = flow.base.piece_of_arrays(x, y)
+    tau = flow.roof.tau_arrays(x, y, pid)
+    for z in (np.nan, -1e-300, 1e300, tau[0] + flow.tau_max):
+        with pytest.raises(NonFinite, match="heights"):
+            flow.forward_arrays(x, y, np.array([z]), pid, 1.0)
+    _, _, z, _ = flow.forward_arrays(x, y, tau + 1e-6, pid, 0.0)
+    assert 0.0 < z[0] < 2e-6
+
+
 def test_return_map_time_is_roof_value(flow):
     # the first return to the section {z = 0} comes after exactly the roof
     # value of the starting piece and lands on the base-map image

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from contactflow import _polygon as pg
 from contactflow import (
     Cone2,
     HyperbolicityParams,
@@ -17,6 +20,7 @@ from contactflow import (
     single_piece_map,
     standard_map,
 )
+from contactflow.hyperbolicity import _refine_level
 
 
 def test_boundary_rays_report_exact_aperture():
@@ -163,13 +167,12 @@ def test_transversality_fails_for_unstable_axis_cone(flow):
 
 
 def test_complexity_counts_exact_small(flow):
-    reports = complexity_counts(flow, 4, method="exact")
+    reports = complexity_counts(flow, 4)
     assert [r.n for r in reports] == [1, 2, 3, 4]
     assert [r.D_b for r in reports] == [4, 9, 11, 13]
     assert [r.D_e for r in reports] == [4, 7, 9, 11]
     assert [r.cells_b for r in reports] == [4, 12, 34, 90]
     for r in reports:
-        assert not r.lower_bound
         assert r.rate_b == pytest.approx(np.log(r.D_b) / r.n)
         assert r.rate_e == pytest.approx(np.log(r.D_e) / r.n)
     # incidence counts never decrease with word length
@@ -180,19 +183,20 @@ def test_complexity_counts_exact_small(flow):
 def test_complexity_single_piece_control():
     base = single_piece_map()
     control = SuspensionFlow(base, build_roof(base, 1.0))
-    reports = complexity_counts(control, 4, method="exact")
+    reports = complexity_counts(control, 4)
     assert all(r.D_b == 1 and r.D_e == 1 for r in reports)
 
 
-def test_complexity_sampling_is_labeled_lower_bound(flow):
-    exact = complexity_counts(flow, 3, method="exact")
-    sampled = complexity_counts(flow, 3, method="sampling")
-    assert all(s.lower_bound for s in sampled)
-    assert not any(e.lower_bound for e in exact)
-    # refining itineraries within a fixed sample window never loses codes
-    for prev, cur in zip(sampled, sampled[1:]):
-        assert cur.D_b >= prev.D_b
-        assert cur.D_e >= prev.D_e
-    # at n = 1 every piece is hit, so both methods see all four codes
-    assert sampled[0].D_b == exact[0].D_b == 4
-    assert sampled[0].D_e == exact[0].D_e == 4
+def test_refine_level_keeps_cells_of_tiny_exact_area():
+    # a triangle of exact area 5e-17 inside the first piece's image is a real
+    # cell: refinement pulls it back whole, with its area (det 1)
+    base = standard_map()
+    image = base.image_polygons[0]
+    cx = sum(v[0] for v in image) / len(image)
+    cy = sum(v[1] for v in image) / len(image)
+    e = Fraction(1, 10 ** 8)
+    tiny = [(cx, cy), (cx + e, cy), (cx, cy + e)]
+    branches = [(img, *p.inverse) for p, img in zip(base.pieces, base.image_polygons)]
+    out = _refine_level([tiny], branches)
+    assert out == [pg.affine_image(tiny, *base.pieces[0].inverse)]
+    assert pg.signed_area2(out[0]) == e * e < Fraction(2, 10 ** 14)
