@@ -7,12 +7,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 
 @lru_cache(maxsize=64)
 def gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1]."""
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n)
     return x.copy(), w.copy()
 

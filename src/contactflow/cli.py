@@ -1101,14 +1101,14 @@ def run(config: ExperimentConfig) -> RunManifest:
 
 # wall time of one process at the defaults on a 2-core x86-64 VM (README)
 _RUNTIME_NOTES = {
-    "verify": "about 1 s at defaults",
+    "verify": "about 0.6 s at defaults",
     "correlate": "about 11 s per 10^6 samples at defaults",
     "resolvent": "about 2 s at defaults",
     "ulam": "about 13 s at defaults (refinement doubling included)",
     "dolgopyat": "about 6 s at defaults",
-    "complexity": "about 100 s at defaults (exact to n = 8)",
+    "complexity": "about 7 s at defaults (exact to n = 8)",
     "normcheck": "about 7 s at defaults",
-    "leafstats": "about 1 s at defaults",
+    "leafstats": "about 0.6 s at defaults",
 }
 
 

@@ -543,7 +543,12 @@ class SuspensionFlow:
     def backward_arrays(self, x, y, z, pid, t, diag: FlowDiag | None = None):
         """Evolve arrays of points backward by t; z = 0 belongs to the
         current box, so any backward motion from the section crosses it.
-        diag, when given, records every landing."""
+        diag, when given, records every landing.
+
+        Heights must satisfy 0 <= z < tau + tau_max, the rule of
+        forward_arrays; a NaN height or one far above the roof raises
+        NonFinite.  A NaN position (so a NaN tau) is left to the first
+        inverse step, whose error names the point."""
         x = np.array(x, dtype=float, copy=True)
         y = np.array(y, dtype=float, copy=True)
         z = np.array(z, dtype=float, copy=True)
@@ -551,6 +556,8 @@ class SuspensionFlow:
         rem = np.broadcast_to(np.asarray(t, dtype=float), x.shape).copy()
         if not np.all(np.isfinite(rem)) or np.any(rem < 0):
             raise NonFinite("backward times must be finite and >= 0")
+        if np.any(~(z >= 0.0) | (z >= self.roof.tau_arrays(x, y, pid) + self.tau_max)):
+            raise NonFinite("backward heights must satisfy 0 <= z < tau + tau_max")
         while True:
             jump = rem > z
             if not np.any(jump):

@@ -342,44 +342,41 @@ def _refine_level(cells: list[pg.Polygon], branches) -> list[pg.Polygon]:
 def _max_incidence(cells: list[pg.Polygon]) -> int:
     """Max number of distinct cell closures meeting one torus point.
 
-    Candidates are cell vertices and their integer translates; a float
-    bounding-box prescreen keeps the exact containment checks sparse.
+    The cells are convex CCW polygons in [0,1]^2, and the maximum is taken
+    at a cell vertex.  Each vertex, reduced mod 1 to a key, is hashed to
+    the cells that have it as a vertex (exact: a vertex lies in its cell's
+    closure).  A cell whose closure holds one of a key's representatives in
+    [0,1]^2 without having it as a vertex is a T-junction; a float prefilter
+    (bounding box, then edge cross products >= -1e-9) finds the candidates
+    and the exact test confirms them (de Berg et al., Computational
+    Geometry, ch. 2).
     """
     if not cells:
         return 0
-    verts: set[tuple[Fraction, Fraction]] = set()
-    for c in cells:
-        verts.update((v[0], v[1]) for v in c)
-    vlist = list(verts)
-    vf = np.array([[float(a), float(b)] for a, b in vlist])
-    boxes = np.array([
-        [min(float(v[0]) for v in c), min(float(v[1]) for v in c),
-         max(float(v[0]) for v in c), max(float(v[1]) for v in c)]
-        for c in cells
-    ])
-    # incidence[v] = set of cells containing some translate of v
-    incid: list[set[int]] = [set() for _ in vlist]
-    translates = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    for dx, dy in translates:
-        pts = vf + np.array([dx, dy])
-        inside = (pts[:, 0] >= -1e-9) & (pts[:, 0] <= 1 + 1e-9) & (pts[:, 1] >= -1e-9) & (pts[:, 1] <= 1 + 1e-9)
-        cand_idx = np.where(inside)[0]
-        if len(cand_idx) == 0:
-            continue
-        sub = pts[cand_idx]
-        for ci, c in enumerate(cells):
-            b = boxes[ci]
-            near = (
-                (sub[:, 0] >= b[0] - 1e-9) & (sub[:, 0] <= b[2] + 1e-9)
-                & (sub[:, 1] >= b[1] - 1e-9) & (sub[:, 1] <= b[3] + 1e-9)
-            )
-            for vi in cand_idx[np.where(near)[0]]:
-                if ci in incid[vi]:
-                    continue
-                p = (vlist[vi][0] + dx, vlist[vi][1] + dy)
-                if pg.point_in_closed(c, p):
-                    incid[vi].add(ci)
-    return max(len(s) for s in incid)
+    incid: dict[tuple[Fraction, Fraction], set[int]] = {}
+    for ci, c in enumerate(cells):
+        for x, y in c:
+            incid.setdefault((x % 1, y % 1), set()).add(ci)
+    # representatives of every key in [0,1]^2: a coordinate 0 is also 1
+    reps, owner = [], []
+    for key in incid:
+        for px in (key[0], 1) if key[0] == 0 else (key[0],):
+            for py in (key[1], 1) if key[1] == 0 else (key[1],):
+                reps.append((px, py))
+                owner.append(key)
+    rf = np.array(reps, dtype=float)
+    for ci, c in enumerate(cells):
+        cf = np.array(c, dtype=float)
+        lo, hi = cf.min(axis=0) - 1e-9, cf.max(axis=0) + 1e-9
+        cand = np.flatnonzero(np.all((rf >= lo) & (rf <= hi), axis=1))
+        q = rf[cand]
+        e = np.roll(cf, -1, axis=0) - cf
+        cross = e[:, :1] * (q[:, 1] - cf[:, 1:2]) - e[:, 1:2] * (q[:, 0] - cf[:, :1])
+        for ri in cand[np.all(cross >= -1e-9, axis=0)]:
+            cells_at = incid[owner[ri]]
+            if ci not in cells_at and pg.point_in_closed(c, reps[ri]):
+                cells_at.add(ci)
+    return max(len(s) for s in incid.values())
 
 
 def _complexity_exact(base_map, n_max: int) -> list[ComplexityReport]:

@@ -15,18 +15,18 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.special import gammaincc
 
 from . import _polygon as pg
 from ._quadrature import bump, composite_panels, fmt17, wrap_delta
 from ._rng import spawn_rng
 from .errors import EmptyCell, NoiseFloor, ToleranceNotMet
 from .flow import FlowPoint, FlowPointBatch
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # sup of |d/du exp(1 - 1/(1 - u^2))|, attained at u = 3^(-1/4); rounded up in
 # the last digit so declared Lipschitz bounds stay true upper bounds.
@@ -273,6 +273,8 @@ class ResolventParams:
 
     def tail_bound(self, sup_norm: float, n: int = 1) -> float:
         """|truncation tail| <= Q(n, a T) * sup / a^n (regularized Gamma Q)."""
+        from scipy.special import gammaincc
+
         return float(gammaincc(n, self.a * self.horizon(n))) * sup_norm / self.a ** n
 
 
@@ -610,6 +612,8 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamMode
         bad = np.nonzero(dest < 0)[0][0]
         raise EmptyCell(
             f"mass mapped into dropped cell ({di[bad]}, {dj[bad]}, {dk[bad]})")
+    import scipy.sparse as sp
+
     rows = np.repeat(np.arange(n_states), row_counts)
     data = np.repeat(1.0 / row_counts, row_counts)
     matrix = sp.coo_matrix((data, (rows, dest)),
@@ -619,6 +623,8 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamMode
     if n_states <= 600:
         eigvals = np.linalg.eigvals(matrix.toarray())
     else:
+        import scipy.sparse.linalg as spla
+
         k = min(6, n_states - 2)
         eigvals = spla.eigs(matrix, k=k, v0=np.ones(n_states), which="LM",
                             maxiter=50_000, return_eigenvectors=False)

@@ -148,3 +148,37 @@ def forward_reference(flow, x, y, z, pid, t):
         rem[cross] -= gap[cross]
         x[cross], y[cross], pid[cross] = flow.base.apply_arrays(x[cross], y[cross])
         z[cross] = 0.0
+
+
+def max_incidence_reference(cells):
+    """All-pairs closure incidence: the reference for
+    hyperbolicity._max_incidence.
+
+    Every cell vertex and each of its 9 integer translates that falls in
+    [0,1]^2 (to 1e-9) is tested exactly against every cell whose float
+    bounding box holds it; returns the most cells meeting one vertex.
+    """
+    if not cells:
+        return 0
+    vlist = list({(v[0], v[1]) for c in cells for v in c})
+    vf = np.array([[float(a), float(b)] for a, b in vlist])
+    boxes = np.array([
+        [min(float(v[0]) for v in c), min(float(v[1]) for v in c),
+         max(float(v[0]) for v in c), max(float(v[1]) for v in c)]
+        for c in cells
+    ])
+    incid = [set() for _ in vlist]
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            pts = vf + np.array([dx, dy])
+            cand_idx = np.nonzero(np.all((pts >= -1e-9) & (pts <= 1 + 1e-9), axis=1))[0]
+            sub = pts[cand_idx]
+            for ci, c in enumerate(cells):
+                b = boxes[ci]
+                near = ((sub[:, 0] >= b[0] - 1e-9) & (sub[:, 0] <= b[2] + 1e-9)
+                        & (sub[:, 1] >= b[1] - 1e-9) & (sub[:, 1] <= b[3] + 1e-9))
+                for vi in cand_idx[near]:
+                    if ci not in incid[vi] and pg.point_in_closed(
+                            c, (vlist[vi][0] + dx, vlist[vi][1] + dy)):
+                        incid[vi].add(ci)
+    return max(len(s) for s in incid)

@@ -405,6 +405,18 @@ def test_forward_rejects_heights_outside_the_flow_domain(flow):
     assert 0.0 < z[0] < 2e-6
 
 
+def test_backward_rejects_heights_outside_the_flow_domain(flow):
+    # a NaN height used to come back NaN, and 1e300 to come back as 1e300 - 1
+    x, y = np.array([0.3]), np.array([0.4])
+    pid = flow.base.piece_of_arrays(x, y)
+    tau = flow.roof.tau_arrays(x, y, pid)
+    for z in (np.nan, -1e-300, 1e300, tau[0] + flow.tau_max):
+        with pytest.raises(NonFinite, match="heights"):
+            flow.backward_arrays(x, y, np.array([z]), pid, 1.0)
+    _, _, z, _ = flow.backward_arrays(x, y, tau + 1e-6, pid, 2e-6)
+    assert z[0] == pytest.approx(tau[0] - 1e-6, abs=1e-12)
+
+
 def test_return_map_time_is_roof_value(flow):
     # the first return to the section {z = 0} comes after exactly the roof
     # value of the starting piece and lands on the base-map image

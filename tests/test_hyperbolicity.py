@@ -20,7 +20,9 @@ from contactflow import (
     single_piece_map,
     standard_map,
 )
-from contactflow.hyperbolicity import _refine_level
+from contactflow.hyperbolicity import _max_incidence, _refine_level
+
+from helpers import max_incidence_reference
 
 
 def test_boundary_rays_report_exact_aperture():
@@ -200,3 +202,68 @@ def test_refine_level_keeps_cells_of_tiny_exact_area():
     out = _refine_level([tiny], branches)
     assert out == [pg.affine_image(tiny, *base.pieces[0].inverse)]
     assert pg.signed_area2(out[0]) == e * e < Fraction(2, 10 ** 14)
+
+
+def _refined_cells(base, n_max):
+    """The b and e cells of levels 1..n_max, as complexity_counts refines them."""
+    fwd = [(img, *p.inverse) for p, img in zip(base.pieces, base.image_polygons)]
+    bwd = [(p.polygon, p.matrix, p.offset) for p in base.pieces]
+    cells_b, cells_e = [p.polygon for p in base.pieces], list(base.image_polygons)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            cells_b, cells_e = _refine_level(cells_b, fwd), _refine_level(cells_e, bwd)
+        yield cells_b, cells_e
+
+
+def test_max_incidence_matches_all_pairs_reference_on_refined_cells():
+    for cells_b, cells_e in _refined_cells(standard_map(), 6):
+        assert _max_incidence(cells_b) == max_incidence_reference(cells_b)
+        assert _max_incidence(cells_e) == max_incidence_reference(cells_e)
+
+
+def _poly(*pts):
+    return pg.polygon([(Fraction(x), Fraction(y)) for x, y in pts])
+
+
+# the right half and five triangles fanned out of (0, 1/2)
+WRAP_FAN = [_poly(("1/2", 0), (1, 0), (1, 1), ("1/2", 1))] + [
+    _poly((0, "1/2"), a, b) for a, b in [
+        ((0, 0), ("1/4", 0)), (("1/4", 0), ("1/2", 0)), (("1/2", 0), ("1/2", 1)),
+        (("1/2", 1), ("1/4", 1)), (("1/4", 1), (0, 1))]]
+
+# planted partitions of the unit square and the incidence each one has
+PLANTED = {
+    # five triangles fan out of (1/2, 1/2), a point in the relative interior
+    # of the left half's edge: only the T-junction makes it six
+    "t_junction": ([_poly((0, 0), ("1/2", 0), ("1/2", 1), (0, 1))]
+                   + [_poly(("1/2", "1/2"), a, b) for a, b in [
+                       (("1/2", 0), ("3/4", 0)), (("3/4", 0), (1, 0)),
+                       ((1, 0), (1, 1)), ((1, 1), ("3/4", 1)),
+                       (("3/4", 1), ("1/2", 1))]], 6),
+    # (0, 1/2) = (1, 1/2) lies inside the right half's edge on x = 1: a
+    # T-junction found only through the representative x = 1 (and y = 1
+    # in the transpose)
+    "wrap_t_junction": (WRAP_FAN, 6),
+    "wrap_t_junction_y": ([pg.polygon([(y, x) for x, y in c]) for c in WRAP_FAN], 6),
+    # bricks whose vertices sit on x = 0/1 and y = 0/1; (1/3, 1) lies inside
+    # the top edge of the top-left brick, a T-junction across the wrap
+    "square_sides": ([_poly((0, 0), ("1/3", 0), ("1/3", "1/2"), (0, "1/2")),
+                      _poly(("1/3", 0), (1, 0), (1, "1/2"), ("1/3", "1/2")),
+                      _poly((0, "1/2"), ("2/3", "1/2"), ("2/3", 1), (0, 1)),
+                      _poly(("2/3", "1/2"), (1, "1/2"), (1, 1), ("2/3", 1))], 4),
+    # four corner triangles meet only at (0, 0) = (1, 0) = (0, 1) = (1, 1)
+    "corner": ([_poly((0, 0), ("1/4", 0), (0, "1/4")),
+                _poly(("3/4", 0), (1, 0), (1, "1/4")),
+                _poly((1, "3/4"), (1, 1), ("3/4", 1)),
+                _poly((0, "3/4"), ("1/4", 1), (0, 1)),
+                _poly(("1/4", 0), ("3/4", 0), (1, "1/4"), (1, "3/4"),
+                      ("3/4", 1), ("1/4", 1), (0, "3/4"), (0, "1/4"))], 4),
+    "single_piece": ([p.polygon for p in single_piece_map().pieces], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_max_incidence_matches_reference_on_planted_cells(name):
+    cells, expected = PLANTED[name]
+    assert max_incidence_reference(cells) == expected
+    assert _max_incidence(cells) == expected

@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +120,32 @@ def test_public_names_are_reached():
               for target in targets for part in target.split(":")[1].split(".")}
     reached = _reached_names(traced | set(UNREACHED_ALLOWED))
     assert [name for name in contactflow.__all__ if name not in reached] == []
+
+
+# Runs in a fresh interpreter: prints the scipy modules loaded after the
+# import, then after each small run.  verify, complexity, normcheck and
+# leafstats never call SciPy, so they must not pay for importing it.
+_SCIPY_PROBE = """
+import json, sys
+from contactflow.cli import ExperimentConfig, run
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = {"import": scipy_modules()}
+for exp, params in json.loads(sys.argv[2]).items():
+    run(ExperimentConfig.from_json_dict(
+        {"experiment": exp, "out": f"{sys.argv[1]}/{exp}", "parameters": params}))
+    loaded[exp] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_scipy_free_experiments_load_no_scipy(tmp_path):
+    runs = {"verify": {}, "complexity": {"n_max": 3},
+            "normcheck": {"grid_n": 32, "iter_n": 32, "n_per_axis": 9,
+                          "parseval_n": 16, "mult_ns": [16, 32]},
+            "leafstats": {}}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(runs)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == {name: [] for name in ["import", *runs]}
