@@ -122,14 +122,6 @@ class GridFunction3:
         cell = (self.length / self.n) ** 3
         return math.sqrt(cell * float(np.sum(np.abs(self.values) ** 2)))
 
-    def __add__(self, other: "GridFunction3") -> "GridFunction3":
-        if not isinstance(other, GridFunction3):
-            return NotImplemented
-        if other.n != self.n or other.length != self.length:
-            raise ValueError("grids are not compatible")
-        return GridFunction3(self.values + other.values, self.length,
-                             name=f"{self.name}+{other.name}")
-
 
 def symbol_on_grid(sym: AnisoSymbol, n: int, length: float) -> np.ndarray:
     """Evaluate a symbol on the N^3 FFT frequency grid (real array)."""
@@ -321,7 +313,6 @@ class CubeBump:
 
     center: tuple
     halfwidths: tuple
-    amplitude: float = 1.0
     name: str = "cube_bump"
 
     def __post_init__(self):
@@ -335,8 +326,7 @@ class CubeBump:
         h = self.halfwidths
         val = bump((np.asarray(x0, dtype=float) - c[0]) / h[0])
         val = val * bump((np.asarray(x1, dtype=float) - c[1]) / h[1])
-        val = val * bump((np.asarray(x2, dtype=float) - c[2]) / h[2])
-        return self.amplitude * val
+        return val * bump((np.asarray(x2, dtype=float) - c[2]) / h[2])
 
     def as_grid(self, n: int, length: float) -> GridFunction3:
         return GridFunction3.from_evaluator(self, n, length, name=self.name)
@@ -357,7 +347,6 @@ class CubeBump:
             halfwidths=(self.halfwidths[0] * dmap.lambda_u,
                         self.halfwidths[1] * dmap.lambda_s,
                         self.halfwidths[2]),
-            amplitude=self.amplitude,
             name=f"{self.name}∘D^-1")
 
 
@@ -461,12 +450,11 @@ def composition_iteration_sweep(w: CubeBump, dmap: HyperbolicBlockMap,
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """Axis-aligned half space {x_axis <= threshold} (or >= with
-    keep_below=False), used as a sharp spatial cutoff."""
+    """Axis-aligned half space {x_axis <= threshold}, used as a sharp
+    spatial cutoff."""
 
     axis: str
     threshold: float
-    keep_below: bool = True
 
     def __post_init__(self):
         if self.axis not in AXIS_ROLES:
@@ -474,7 +462,7 @@ class HalfSpace:
 
     def mask(self, n: int, length: float) -> np.ndarray:
         pts = np.arange(n) * (length / n)
-        keep = pts <= self.threshold if self.keep_below else pts >= self.threshold
+        keep = pts <= self.threshold
         shape = [1, 1, 1]
         shape[AXIS_ROLES.index(self.axis)] = n
         return np.broadcast_to(keep.reshape(shape), (n, n, n))

@@ -59,13 +59,6 @@ from contactflow.flow import (
     single_piece_map,
     standard_flow,
 )
-from contactflow.geometry import (
-    check_contact_chart,
-    compose_charts,
-    contact_translation,
-    identity_chart,
-    linear_contact_chart,
-)
 from contactflow.hyperbolicity import (
     Cone2,
     check_cone_invariance,
@@ -181,7 +174,6 @@ TOLERANCES: dict[str, float] = {
     "volume_box_z": 3.0,
     "semigroup": 1e-10,
     "inversion": 1e-10,
-    "chart_residual": 1e-8,
     "cone_aperture": 0.25 + 1e-9,
     "expansion_rel": 0.01,
     "decay_positive": 0.0,
@@ -659,20 +651,6 @@ def _semigroup_inversion(flow: SuspensionFlow, n: int, seed: int
     return semi, inv
 
 
-def _chart_residual(flow: SuspensionFlow, seed: int) -> float:
-    rng = spawn_rng(seed, 14)
-    pts = rng.uniform(size=(200, 2))
-    m = [[float(v) for v in row] for row in flow.base.sample_jacobians()[0]]
-    charts = [
-        identity_chart(),
-        linear_contact_chart(m),
-        contact_translation((0.2, 0.3, 0.4)),
-        compose_charts(contact_translation((0.2, 0.3, 0.4)),
-                       linear_contact_chart(m)),
-    ]
-    return max(check_contact_chart(c, pts).max_residual for c in charts)
-
-
 def _run_verify(flow, prm, seed, cfg, writer, checks):
     ok, detail = _closedness_exact(flow)
     checks.append(CheckResult("closedness", ok, 0.0 if ok else 1.0,
@@ -694,8 +672,6 @@ def _run_verify(flow, prm, seed, cfg, writer, checks):
     semi, inv = _semigroup_inversion(flow, prm["n_pairs"], seed)
     _check(checks, cfg, "semigroup", semi)
     _check(checks, cfg, "inversion", inv)
-
-    _check(checks, cfg, "chart_residual", _chart_residual(flow, seed))
 
     cone_rep = check_cone_invariance(flow.base, Cone2(1.0),
                                      n_rays=prm["n_rays"])

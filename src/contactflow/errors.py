@@ -5,10 +5,6 @@ class ContactFlowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateFrame(ContactFlowError):
-    """A linear chart's planar block does not have determinant 1."""
-
-
 class ClosednessViolation(ContactFlowError):
     """The roof 1-form failed to be closed on some piece (non-unimodular piece)."""
 

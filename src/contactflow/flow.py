@@ -475,10 +475,6 @@ class SuspensionFlow:
         """forward_arrays on the batch of one point p."""
         return FlowPointBatch(*self.forward_arrays([p.x], [p.y], [p.z], [p.piece_id], t, diag))[0]
 
-    def backward(self, p: FlowPoint, t: float, diag: FlowDiag | None = None) -> FlowPoint:
-        """backward_arrays on the batch of one point p."""
-        return FlowPointBatch(*self.backward_arrays([p.x], [p.y], [p.z], [p.piece_id], t, diag))[0]
-
     def forward_arrays(self, x, y, z, pid, t, diag: FlowDiag | None = None):
         """Evolve arrays of points forward by t (scalar or per-point array).
 

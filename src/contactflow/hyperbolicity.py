@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _polygon as pg
-from ._rng import spawn_rng
 from .errors import ConeNotInvariant
 
 
@@ -163,11 +162,10 @@ def check_cone_invariance(base_map, cone: Cone2, n_rays: int = 64) -> ConeInvari
     )
 
 
-def _word_products(mats: list[np.ndarray], n: int, cap: int = 4096, seed: int = 0) -> list[np.ndarray]:
-    """Products over length-n words of the matrix alphabet.
+def _word_products(mats: list[np.ndarray], n: int, cap: int = 4096) -> list[np.ndarray]:
+    """Products over all length-n words of the distinct matrices.
 
-    Distinct matrices only; all words when their count fits under cap,
-    otherwise a deterministic sample.
+    Raises ValueError when there are more than cap words.
     """
     uniq = []
     for m in mats:
@@ -175,22 +173,16 @@ def _word_products(mats: list[np.ndarray], n: int, cap: int = 4096, seed: int = 
             uniq.append(np.asarray(m, dtype=float))
     k = len(uniq)
     total = k ** n
+    if total > cap:
+        raise ValueError(f"{total} words of length {n} exceed the cap {cap}")
     out = []
-    if total <= cap:
-        for w in range(total):
-            m = np.eye(2)
-            ww = w
-            for _ in range(n):
-                m = uniq[ww % k] @ m
-                ww //= k
-            out.append(m)
-    else:
-        rng = spawn_rng(seed, 3)
-        for _ in range(cap):
-            m = np.eye(2)
-            for j in rng.integers(0, k, size=n):
-                m = uniq[j] @ m
-            out.append(m)
+    for w in range(total):
+        m = np.eye(2)
+        ww = w
+        for _ in range(n):
+            m = uniq[ww % k] @ m
+            ww //= k
+        out.append(m)
     return out
 
 

@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # sup of |d/du exp(1 - 1/(1 - u^2))|, attained at u = 3^(-1/4); rounded up in
-# the last digit so declared Lipschitz bounds stay true upper bounds.
+# the last digit so declared partial_sup bounds stay true upper bounds.
 BUMP_DERIV_SUP = 2.1703571
 
 # orbit x node elements per block of resolvent_power_points (peak memory)
@@ -55,18 +55,15 @@ class Observable:
 
     The evaluator must be pure and vectorized: it receives coordinate arrays
     ``(x, y, z)`` of a common shape and returns an array of values (real or
-    complex).  ``sup_norm`` and ``lipschitz`` are declared bounds consumed by
-    quadrature budgets and tests; they are never inferred silently.
-    ``support`` is ``((cx, cy, cz), (rx, ry, rz))`` for compactly supported
-    observables, ``partial_sup`` bounds the three partial derivatives.
+    complex).  ``sup_norm`` and ``partial_sup`` (bounds on the three partial
+    derivatives) are declared bounds consumed by quadrature budgets and
+    tests; they are never inferred silently.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     gradient: Optional[Callable[..., tuple]] = None
     sup_norm: Optional[float] = None
-    lipschitz: Optional[float] = None
     name: str = ""
-    support: Optional[tuple] = None
     partial_sup: Optional[tuple] = None
 
     def __call__(self, x, y, z) -> np.ndarray:
@@ -88,7 +85,6 @@ class Observable:
             evaluator=lambda x, y, z: grad(x, y, z)[axis],
             sup_norm=sup,
             name=f"d{'xyz'[axis]}({self.name})",
-            support=self.support,
         )
 
     def __mul__(self, c):
@@ -103,9 +99,7 @@ class Observable:
             gradient=None if grad is None else (
                 lambda x, y, z: tuple(cc * g for g in grad(x, y, z))),
             sup_norm=None if self.sup_norm is None else abs(cc) * self.sup_norm,
-            lipschitz=None if self.lipschitz is None else abs(cc) * self.lipschitz,
             name=f"({c})*{self.name}" if self.name else "",
-            support=self.support,
             partial_sup=None if self.partial_sup is None else tuple(
                 abs(cc) * s for s in self.partial_sup),
         )
@@ -117,16 +111,14 @@ class Observable:
             return NotImplemented
         e1, e2 = self.evaluator, other.evaluator
         g1, g2 = self.gradient, other.gradient
-        sup = lip = grad = None
+        sup = grad = None
         if self.sup_norm is not None and other.sup_norm is not None:
             sup = self.sup_norm + other.sup_norm
-        if self.lipschitz is not None and other.lipschitz is not None:
-            lip = self.lipschitz + other.lipschitz
         if g1 is not None and g2 is not None:
             grad = lambda x, y, z: tuple(a + b for a, b in zip(g1(x, y, z), g2(x, y, z)))
         return Observable(
             evaluator=lambda x, y, z: e1(x, y, z) + e2(x, y, z),
-            gradient=grad, sup_norm=sup, lipschitz=lip,
+            gradient=grad, sup_norm=sup,
             name=f"{self.name}+{other.name}",
         )
 
@@ -139,7 +131,6 @@ def constant_observable(c=1.0, name: str = "const") -> Observable:
         evaluator=lambda x, y, z: np.full(np.shape(x), cc),
         gradient=lambda x, y, z: (np.zeros(np.shape(x)),) * 3,
         sup_norm=abs(cc),
-        lipschitz=0.0,
         name=name,
     )
 
@@ -152,9 +143,7 @@ def flow_box_bump(center, halfwidths, amplitude: float = 1.0,
     result is smooth with closed-form gradient.  The x and y offsets wrap
     around the torus, z does not.  Values are computed only at points inside
     the z-support; elsewhere they are the zero amp * 0 gives, signed like
-    amp.  The declared Lipschitz bound
-    ``amp * max|phi'| * sqrt(sum r_i^-2)`` is spot-verified on 10^3 random
-    pairs at construction.
+    amp.  The declared partial derivative bounds are ``amp * max|phi'| / r_i``.
     """
     cx, cy, cz = (float(v) for v in center)
     rx, ry, rz = (float(v) for v in halfwidths)
@@ -189,45 +178,12 @@ def flow_box_bump(center, halfwidths, amplitude: float = 1.0,
                 amp / ry * bx * _bump_deriv(uy) * bz,
                 amp / rz * bx * by * _bump_deriv(uz))
 
-    lip = abs(amp) * BUMP_DERIV_SUP * math.sqrt(rx ** -2 + ry ** -2 + rz ** -2)
-    obs = Observable(
-        evaluator=ev, gradient=grad, sup_norm=abs(amp), lipschitz=lip,
-        name=name, support=((cx, cy, cz), (rx, ry, rz)),
+    return Observable(
+        evaluator=ev, gradient=grad, sup_norm=abs(amp), name=name,
         partial_sup=(abs(amp) * BUMP_DERIV_SUP / rx,
                      abs(amp) * BUMP_DERIV_SUP / ry,
                      abs(amp) * BUMP_DERIV_SUP / rz),
     )
-    worst = verify_lipschitz(obs, seed=0, n_pairs=1000)
-    if worst > lip * 1.01:
-        raise ValueError(f"declared Lipschitz bound {lip} exceeded: sampled {worst}")
-    return obs
-
-
-def verify_lipschitz(obs: Observable, seed: int = 0, n_pairs: int = 1000) -> float:
-    """Largest sampled slope |psi(p) - psi(q)| / d(p, q) over random pairs.
-
-    Pairs are drawn from a 20%-inflated support box when one is declared
-    (half of them at small separations to probe local slopes); distance
-    wraps the x and y offsets.
-    """
-    rng = spawn_rng(seed, 17)
-    if obs.support is not None:
-        (cx, cy, cz), (rx, ry, rz) = obs.support
-        lo = np.array([cx - 1.2 * rx, cy - 1.2 * ry, max(0.0, cz - 1.2 * rz)])
-        hi = np.array([cx + 1.2 * rx, cy + 1.2 * ry, cz + 1.2 * rz])
-    else:
-        lo = np.zeros(3)
-        hi = np.ones(3)
-    span = (hi - lo)[:, None]
-    p = lo[:, None] + span * rng.random((3, n_pairs))
-    q = lo[:, None] + span * rng.random((3, n_pairs))
-    half = n_pairs // 2
-    q[:, :half] = p[:, :half] + (rng.random((3, half)) - 0.5) * (1e-3 * span)
-    dx, dy, dz = p - q
-    dist = np.sqrt(wrap_delta(dx) ** 2 + wrap_delta(dy) ** 2 + dz ** 2)
-    ok = dist > 0.0
-    slopes = np.abs(obs(*p) - obs(*q))[ok] / dist[ok]
-    return float(slopes.max()) if slopes.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +628,6 @@ class CorrelationSeries:
     n_batches: int
     psi1_name: str = ""
     psi2_name: str = ""
-    fit: Optional[DecayFit] = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -791,8 +746,6 @@ def fit_decay(series: CorrelationSeries, seed: int = 0, n_boot: int = 1000,
     if len(draws) < int(n_boot) // 2:
         raise NoiseFloor("bootstrap resamples mostly below the noise floor")
     lo, hi = np.percentile(draws, [2.5, 97.5])
-    fit = DecayFit(sigma_hat=float(sigma), k_hat=float(k_hat),
-                   ci_low=float(lo), ci_high=float(hi), n_used=int(n_used),
-                   n_boot=int(n_boot), seed=int(seed))
-    series.fit = fit
-    return fit
+    return DecayFit(sigma_hat=float(sigma), k_hat=float(k_hat),
+                    ci_low=float(lo), ci_high=float(hi), n_used=int(n_used),
+                    n_boot=int(n_boot), seed=int(seed))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from contactflow import RoofFunction, SuspensionFlow, standard_map
 from contactflow import _polygon as pg
 from contactflow._rng import spawn_rng
 
@@ -11,6 +12,22 @@ from contactflow._rng import spawn_rng
 def wrap_diff(a, b):
     """Signed torus difference a - b folded into [-1/2, 1/2)."""
     return (np.asarray(a) - np.asarray(b) + 0.5) % 1.0 - 0.5
+
+
+def constant_roof_flow(h=Fraction(6, 5)):
+    """The standard map under the constant roof tau = h.
+
+    A suspension with a constant roof preserves no contact form and does
+    not mix (e^{2 pi i z / h} is an eigenfunction): the control that the
+    contact and mixing checks must tell apart from the standard flow.
+    """
+    base = standard_map()
+    h = Fraction(h)
+    n = len(base.pieces)
+    roof = RoofFunction(coeffs=[{"const": h} for _ in base.pieces],
+                        tau_minus=float(h), tau_max=float(h),
+                        per_piece_inf=[h] * n, per_piece_max=[h] * n, volume=h)
+    return SuspensionFlow(base, roof)
 
 
 def interior_points(flow, n, seed, margin=1e-3):

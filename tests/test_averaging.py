@@ -20,6 +20,8 @@ from contactflow import (
     write_dolgopyat_csv,
 )
 from contactflow import constant_observable
+from contactflow.averaging import _LeafPiece, _rebase
+from helpers import grid_points
 
 PSI = dict(center=(0.3, 0.4, 0.5), halfwidths=(0.2, 0.2, 0.3))
 
@@ -49,6 +51,25 @@ def test_leaf_closed_form_and_kernel_residual(flow):
 # ---------------------------------------------------------------------------
 # oscillatory cancellation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flow_name", [
+    "flow",
+    pytest.param("pflow", marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: the decomposition cuts and rebases pieces along a "
+        "hard-coded (1, -1/2), while the perturbed flow's stable direction "
+        "is about (1, -0.663)"))),
+])
+def test_rebased_piece_lies_on_the_flows_own_leaf(flow_name, request):
+    f = request.getfixturevalue(flow_name)
+    b = grid_points(f, 1)
+    w = (float(b.x[0]), float(b.y[0]), float(b.z[0]))
+    leaf = leaf_through(f, w, 0.1)
+    for s in (-0.05, 0.05):
+        piece = _rebase(_LeafPiece(*w, 0.1), s, 0.01)
+        x, y, z = leaf.point(s)
+        assert (piece.x, piece.y, piece.z) == pytest.approx(
+            (float(x), float(y), float(z)), abs=1e-12)
 
 
 def test_default_cancellation_params(flow):

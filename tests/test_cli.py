@@ -3,20 +3,21 @@
 import ast
 import inspect
 import json
-from fractions import Fraction
 
 import pytest
 
-from contactflow import ConfigError, RoofFunction, SuspensionFlow, standard_map
+from contactflow import ConfigError
 from contactflow.cli import (
     PARAM_SCHEMA,
     ExperimentConfig,
     _closedness_exact,
+    _contact_invariance_residual,
     _validate_param,
     load_config,
     main,
     run,
 )
+from helpers import constant_roof_flow
 
 
 def _config(tmp_path, data, name="config.json"):
@@ -210,16 +211,23 @@ def test_normcheck_records_violated_symbol_hypotheses(tmp_path):
 def test_closedness_fails_on_roof_without_quadratic_keys():
     # a constant roof stores only "const"; the missing quadratic keys read as
     # 0, which differs from every pinned value of the standard map
-    base = standard_map()
-    h = Fraction(6, 5)
-    roof = RoofFunction(coeffs=[{"const": h} for _ in base.pieces],
-                        tau_minus=float(h), tau_max=float(h),
-                        per_piece_inf=[h] * 4, per_piece_max=[h] * 4, volume=h)
-    ok, detail = _closedness_exact(SuspensionFlow(base, roof))
+    control = constant_roof_flow()
+    ok, detail = _closedness_exact(control)
     assert not ok
-    for piece in base.pieces:
+    for piece in control.base.pieces:
         for key in ("qxx", "qxy", "qyy"):
             assert f"piece {piece.name}: {key} != pinned value" in detail
+
+
+def test_contact_invariance_tells_the_constant_roof_apart(flow):
+    # the constant-roof suspension does not preserve alpha = dz - y dx, so
+    # verify's finite-difference check must fail there and pass on the
+    # standard flow (verify's defaults, seed 7)
+    control, used_c = _contact_invariance_residual(constant_roof_flow(), 10000, 7, 0.5, 5.0)
+    standard, used_s = _contact_invariance_residual(flow, 10000, 7, 0.5, 5.0)
+    assert min(used_c, used_s) >= 10000
+    assert control > 1.0
+    assert standard < 1e-6
 
 
 def test_rerun_same_seed_byte_identical(tmp_path):

@@ -269,12 +269,12 @@ def test_semigroup_single_point(t1, t2):
 
 def test_backward_at_section_jumps_first(flow):
     # z = 0 belongs to the current box, so any backward motion crosses
-    p = flow.flow_point(0.3, 0.35, 0.0)
-    q = flow.backward(p, 1e-9)
+    p = flow.flow_points([0.3], [0.35], [0.0])
+    x, y, z, _ = flow.backward_arrays(p.x, p.y, p.z, p.piece_id, 1e-9)
     bx, by, _ = flow.base.apply_inverse(0.3, 0.35)
-    assert q.x == pytest.approx(bx, abs=1e-6)
-    assert q.y == pytest.approx(by, abs=1e-6)
-    assert q.z > 1.0  # just under the roof of the preimage piece
+    assert x[0] == pytest.approx(bx, abs=1e-6)
+    assert y[0] == pytest.approx(by, abs=1e-6)
+    assert z[0] > 1.0  # just under the roof of the preimage piece
 
 
 @pytest.mark.parametrize("flow_name", ["flow", "pflow"])
@@ -321,11 +321,11 @@ def test_flow_diag_counts_crossings(flow):
     b = flow.flow_points([0.1, 0.2, 0.3], [0.2, 0.6, 0.4], [0.0, 0.0, 0.5])
     t = 3.0 * (flow.roof.tau_arrays(b.x, b.y, b.piece_id) - b.z)
     diags = {}
-    for scalar, kernel in ((flow.forward, flow.forward_arrays),
-                           (flow.backward, flow.backward_arrays)):
+    for kernel in (flow.forward_arrays, flow.backward_arrays):
         summed, diag = FlowDiag(), FlowDiag()
         for i in range(len(b)):
-            scalar(b[i], t[i], summed)
+            one = slice(i, i + 1)
+            kernel(b.x[one], b.y[one], b.z[one], b.piece_id[one], t[i], summed)
         kernel(b.x, b.y, b.z, b.piece_id, t, diag)
         assert diag == summed and diag.crossings > len(b)
         diags[kernel.__name__] = diag

@@ -20,7 +20,7 @@ from contactflow import (
     single_piece_map,
     standard_map,
 )
-from contactflow.hyperbolicity import _max_incidence, _refine_level
+from contactflow.hyperbolicity import _max_incidence, _refine_level, _word_products
 
 from helpers import max_incidence_reference
 
@@ -97,6 +97,15 @@ def test_expansion_submultiplicative():
     lam = {n: expansion_constants(base, cone, n=n)[0] for n in (1, 2, 3, 4)}
     for n1, n2 in ((1, 1), (1, 2), (2, 2), (1, 3)):
         assert lam[n1 + n2] >= lam[n1] * lam[n2] - 1e-10
+
+
+def test_word_products_enumerate_every_word_or_raise_above_the_cap():
+    a, b = np.eye(2), np.array([[2.0, 1.0], [1.0, 1.0]])
+    words = _word_products([a, b, a], 3, cap=8)  # the repeated a counts once
+    assert len(words) == 8
+    assert any(np.array_equal(w, b @ b @ b) for w in words)
+    with pytest.raises(ValueError, match="exceed the cap"):
+        _word_products([a, b], 3, cap=7)
 
 
 def test_four_step_expansion_rate_pinned():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import contactflow
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "contactflow"
+README = SRC.parents[1] / "README.md"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -58,9 +60,8 @@ def test_perfbench_trace_targets_resolve():
     assert missing == []
 
 
-# public names that nothing reaches yet, each with the reason it stays
+# definitions that nothing reaches yet, each with the reason it stays
 UNREACHED_ALLOWED = {
-    "check_bunching": "ROADMAP item 3 wires it into verify",
     "check_transversality": "ROADMAP item 3 wires it into verify",
 }
 
@@ -87,39 +88,65 @@ def _references(node) -> list[str]:
     return refs
 
 
-def _reached_names(roots: set[str]) -> set[str]:
-    """Names reachable from the src modules' module-level code (the CLI's
-    __main__ block among it) and from roots.  A reached name reaches what
-    every definition of that name references: top-level functions and
-    classes by name, methods by attribute name, in any module."""
+def _src_definitions() -> tuple[dict[str, list], list[str]]:
+    """Bare name -> [("module:qualname", node)] for every top-level function
+    and class and every non-dunder method in src, and the names that
+    module-level code (the CLI's __main__ block among it) references."""
     defs: dict[str, list] = {}
-    todo = list(roots)
-    for path in SRC.glob("*.py"):
+    refs = []
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                methods = [stmt for stmt in node.body if _is_method(stmt)] \
-                    if isinstance(node, ast.ClassDef) else []
-                for d in (node, *methods):
-                    defs.setdefault(d.name, []).append(d)
+                found = [(node.name, node)]
+                if isinstance(node, ast.ClassDef):
+                    found += [(f"{node.name}.{stmt.name}", stmt)
+                              for stmt in node.body if _is_method(stmt)]
+                for qual, d in found:
+                    defs.setdefault(d.name, []).append((f"{path.stem}:{qual}", d))
             else:
-                todo += _references(node)
+                refs += _references(node)
+    return defs, refs
+
+
+def _reached_names(roots: set[str]) -> set[str]:
+    """Names reachable from src's module-level code and from roots.  A
+    reached name reaches what every definition of that name references:
+    top-level functions and classes by name, methods by attribute name, in
+    any module."""
+    defs, todo = _src_definitions()
+    todo += roots
     reached = set()
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            for node in defs.get(name, []):
+            for _, node in defs.get(name, []):
                 todo += _references(node)
     return reached
 
 
-def test_public_names_are_reached():
-    # an exported name that no experiment, trace target or kept code
-    # reaches is dead API: wire it into a check or delete it
+def _roots() -> set[str]:
+    """Trace targets and the names README's quick-start block uses."""
     traced = {part for targets in _trace_layers().values()
               for target in targets for part in target.split(":")[1].split(".")}
-    reached = _reached_names(traced | set(UNREACHED_ALLOWED))
-    assert [name for name in contactflow.__all__ if name not in reached] == []
+    quick_start = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                             re.MULTILINE | re.DOTALL)
+    return traced | {name for block in quick_start
+                     for name in _references(ast.parse(block))}
+
+
+def test_public_names_are_reached():
+    # an exported name, function, class or method that no experiment, trace
+    # target, README example or kept code reaches is dead code: wire it
+    # into a check or delete it
+    reached = _reached_names(_roots() | set(UNREACHED_ALLOWED))
+    defs, _ = _src_definitions()
+    unreached = [qual for name, found in defs.items()
+                 if name not in reached for qual, _ in found]
+    unreached += [name for name in contactflow.__all__ if name not in reached]
+    assert unreached == []
+    # an allowance for a name that is now reached anyway is stale
+    assert set(UNREACHED_ALLOWED) & _reached_names(_roots()) == set()
 
 
 # Runs in a fresh interpreter: prints the scipy modules loaded after the
