@@ -2,13 +2,13 @@
 
 The weighted norm ``||F^{-1}(a * F v)||_{L^2}`` is exactly computable by
 Plancherel, which is why p is fixed to 2 throughout.  Functions live on an
-N^3 uniform grid over the cube [0, L]^3 with axis roles (u, s, 0): one
-expanding direction, one contracting direction, one neutral (flow)
-direction.  The forward transform uses the integral kernel
-``exp(-i<xi, x>)``; its discrete surrogate samples frequencies 2*pi*k/L.
-Continuous-space statements are approximated by compactly supported smooth
-bumps, so every claim here is about refinement stability, not about the
-continuum norm itself.
+N^3 uniform grid over [0, L]^3 with axis roles (u, s, 0): expanding,
+contracting and neutral (flow).  Each is a (u, s)-plane array times a
+flow-direction vector, so its transform is a 2-D one times a 1-D one.  The
+forward transform uses the kernel ``exp(-i<xi, x>)``; its discrete
+surrogate samples frequencies 2*pi*k/L.  Continuous-space statements are
+approximated by compactly supported smooth bumps, so every claim here is
+about refinement stability, not about the continuum norm itself.
 """
 
 from __future__ import annotations
@@ -67,67 +67,60 @@ class AnisoSymbol:
 # grid functions
 
 
-def frequency_axis(n: int, length: float) -> np.ndarray:
-    """Angular frequencies 2*pi*k/L along one axis, in FFT order."""
-    return 2.0 * math.pi * np.fft.fftfreq(n, d=length / n)
-
-
 class GridFunction3:
-    """Complex samples on an N^3 uniform grid over [0, L]^3.
+    """f(x) = values[i, j] * line[k] on an N^3 uniform grid over [0, L]^3.
 
-    Axis i of the sample array carries the role ``AXIS_ROLES[i]``, so the
-    axes are (u, s, 0) in that order.  Grid points are x_i = i*L/N
-    (periodic, no endpoint duplication).  The raw FFT is cached, so repeated
-    norms against different symbols reuse one transform.
+    ``values`` holds the N x N samples on the (u, s) plane and ``line`` the
+    N samples along the flow direction (axis roles ``AXIS_ROLES``).  Grid
+    points are x_i = i*L/N (periodic, no endpoint duplication).  The DFT of
+    f is fft2(values) times fft(line); the cached plane transform is reused
+    by repeated norms against different symbols.
     """
 
-    __slots__ = ("values", "length", "name", "_fhat")
+    __slots__ = ("values", "line", "length", "name", "_fhat")
 
-    def __init__(self, values, length: float, name: str = "grid"):
-        arr = np.ascontiguousarray(values, dtype=np.complex128)
-        if arr.ndim != 3 or len(set(arr.shape)) != 1:
-            raise ValueError("samples must form a cubic N^3 array")
-        if arr.shape[0] < 4:
+    def __init__(self, values, line, length: float, name: str = "grid"):
+        plane = np.ascontiguousarray(values, dtype=np.complex128)
+        line = np.ascontiguousarray(line, dtype=np.complex128)
+        if line.ndim != 1 or plane.shape != (line.size, line.size):
+            raise ValueError("need N x N plane samples and N line samples")
+        if line.size < 4:
             raise ValueError("grid must have at least 4 points per axis")
         if float(length) <= 0.0:
             raise ValueError("cube side length must be positive")
-        arr.setflags(write=False)
-        self.values = arr
+        plane.setflags(write=False)
+        line.setflags(write=False)
+        self.values = plane
+        self.line = line
         self.length = float(length)
         self.name = name
         self._fhat = None
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
-
-    @classmethod
-    def from_evaluator(cls, fn, n: int, length: float,
-                       name: str = "grid") -> "GridFunction3":
-        """Sample fn(x0, x1, x2) on the grid; fn must broadcast over arrays."""
-        pts = np.arange(n) * (length / n)
-        x0 = pts[:, None, None]
-        x1 = pts[None, :, None]
-        x2 = pts[None, None, :]
-        return cls(fn(x0, x1, x2), length, name=name)
+        return self.line.size
 
     def raw_fft(self) -> np.ndarray:
         if self._fhat is None:
-            self._fhat = np.fft.fftn(self.values)
+            self._fhat = np.fft.fft2(self.values)
             self._fhat.setflags(write=False)
         return self._fhat
 
     def l2_norm(self) -> float:
         """Discrete L^2 norm with cell-volume weight (L/N)^3."""
         cell = (self.length / self.n) ** 3
-        return math.sqrt(cell * float(np.sum(np.abs(self.values) ** 2)))
+        return math.sqrt(cell * float(np.sum(np.abs(self.values) ** 2))
+                         * float(np.sum(np.abs(self.line) ** 2)))
 
 
-def symbol_on_grid(sym: AnisoSymbol, n: int, length: float) -> np.ndarray:
-    """Evaluate a symbol on the N^3 FFT frequency grid (real array)."""
-    freqs = frequency_axis(n, length)
-    return np.asarray(sym(freqs[:, None, None], freqs[None, :, None],
-                          freqs[None, None, :]), dtype=float)
+def _fold(power: np.ndarray) -> np.ndarray:
+    """Sum |F|^2 over bins k and N - k along axis 0 (bins 0..N//2); the
+    Nyquist bin of an even N has no partner and is counted once."""
+    n = power.shape[0]
+    m = (n - 1) // 2
+    out = power[:n // 2 + 1].copy()
+    out[1:m + 1] += power[:n - m - 1:-1]
+    return out
 
 
 def aniso_norm_p2(f: GridFunction3, sym: AnisoSymbol) -> float:
@@ -135,10 +128,17 @@ def aniso_norm_p2(f: GridFunction3, sym: AnisoSymbol) -> float:
     function c has norm |c| * L^{3/2} for any symbol (a(0) = 1).
 
     At r = s = q = 0 this equals the discrete L^2 norm exactly (Parseval).
+    a^2 is even in each coordinate, so both power spectra are folded onto
+    the nonnegative frequencies and contracted with a^2 on that octant.
     """
-    weights = symbol_on_grid(sym, f.n, f.length)
-    total = float(np.sum((weights * np.abs(f.raw_fft())) ** 2))
-    return (f.length ** 1.5 / f.n ** 3) * math.sqrt(total)
+    n = f.n
+    plane = _fold(_fold(np.abs(f.raw_fft()) ** 2).T).T
+    line = _fold(np.abs(np.fft.fft(f.line)) ** 2)
+    xi = np.abs(2.0 * math.pi * np.fft.fftfreq(n, f.length / n))[:n // 2 + 1]
+    a2 = np.asarray(sym(xi[:, None, None], xi[None, :, None],
+                        xi[None, None, :]), dtype=float) ** 2
+    total = float(plane.ravel() @ (a2.reshape(-1, xi.size) @ line))
+    return (f.length ** 1.5 / n ** 3) * math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +307,9 @@ def check_symbol_inequality(r: float, s: float, q: float, r_prime: float,
 
 @dataclass(frozen=True)
 class CubeBump:
-    """Smooth compactly supported product bump on the cube, evaluable
-    anywhere (so affine reparametrizations are sampled exactly, never
-    interpolated)."""
+    """Smooth compactly supported product bump on the cube, sampled from
+    its closed form on any grid (so affine reparametrizations are sampled
+    exactly, never interpolated)."""
 
     center: tuple
     halfwidths: tuple
@@ -321,15 +321,11 @@ class CubeBump:
         if any(h <= 0.0 for h in self.halfwidths):
             raise ValueError("halfwidths must be positive")
 
-    def __call__(self, x0, x1, x2):
-        c = self.center
-        h = self.halfwidths
-        val = bump((np.asarray(x0, dtype=float) - c[0]) / h[0])
-        val = val * bump((np.asarray(x1, dtype=float) - c[1]) / h[1])
-        return val * bump((np.asarray(x2, dtype=float) - c[2]) / h[2])
-
     def as_grid(self, n: int, length: float) -> GridFunction3:
-        return GridFunction3.from_evaluator(self, n, length, name=self.name)
+        pts = np.arange(n) * (length / n)
+        b = [bump((pts - c) / h) for c, h in zip(self.center, self.halfwidths)]
+        return GridFunction3(np.outer(b[0], b[1]), b[2], length,
+                             name=self.name)
 
     def composed_with_inverse(self, dmap: HyperbolicBlockMap,
                               length: float) -> "CubeBump":
@@ -460,12 +456,17 @@ class HalfSpace:
         if self.axis not in AXIS_ROLES:
             raise ValueError(f"axis must be one of {AXIS_ROLES}")
 
-    def mask(self, n: int, length: float) -> np.ndarray:
-        pts = np.arange(n) * (length / n)
-        keep = pts <= self.threshold
-        shape = [1, 1, 1]
-        shape[AXIS_ROLES.index(self.axis)] = n
-        return np.broadcast_to(keep.reshape(shape), (n, n, n))
+    def cut(self, g: GridFunction3) -> GridFunction3:
+        """1_U * g: the cutoff multiplies the plane (axis u or s) or the
+        line (axis 0)."""
+        keep = np.arange(g.n) * (g.length / g.n) <= self.threshold
+        name = f"1_U*{g.name}"
+        if self.axis == "0":
+            return GridFunction3(g.values, np.where(keep, g.line, 0.0),
+                                 g.length, name=name)
+        keep = keep[:, None] if self.axis == "u" else keep[None, :]
+        return GridFunction3(np.where(keep, g.values, 0.0), g.line,
+                             g.length, name=name)
 
 
 def multiplier_admissibility(r: float, s: float, q: float):
@@ -534,13 +535,10 @@ def check_multiplier_charfun(half: HalfSpace, r: float, s: float, q: float,
         ratios = []
         for n in ns:
             g = bump.as_grid(int(n), length)
-            cut = GridFunction3(
-                np.where(half.mask(int(n), length), g.values, 0.0),
-                length, name=f"1_U*{bump.name}")
-            ratio = aniso_norm_p2(cut, sym) / aniso_norm_p2(g, sym)
+            ratio = aniso_norm_p2(half.cut(g), sym) / aniso_norm_p2(g, sym)
             ratios.append(ratio)
             rows.append({"N": int(n), "L": length, "r": r, "s": s, "q": q,
-                         "ratio": ratio, "bound": float("nan")})
+                         "ratio": ratio, "bound": None})
         for lo, hi in zip(ratios[:-1], ratios[1:]):
             rel_changes.append(abs(hi - lo) / lo)
     max_rel = max(rel_changes)
@@ -556,7 +554,8 @@ def check_multiplier_charfun(half: HalfSpace, r: float, s: float, q: float,
 
 
 def write_sweep_csv(path, rows):
-    """Write sweep rows as CSV (N, L, r, s, q[, k], ratio, bound).
+    """Write sweep rows as CSV (N, L, r, s, q[, k], ratio, bound); a bound
+    of None is written as an empty cell.
 
     The transform convention is recorded in a leading comment line so that
     numbers stay interpretable away from the code.

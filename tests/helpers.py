@@ -1,5 +1,6 @@
 """Small shared utilities for the test suite."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -199,3 +200,33 @@ def max_incidence_reference(cells):
                             c, (vlist[vi][0] + dx, vlist[vi][1] + dy)):
                         incid[vi].add(ci)
     return max(len(s) for s in incid)
+
+
+def dense_grid(f):
+    """The N^3 samples values[i, j] * line[k] of a GridFunction3."""
+    return f.values[:, :, None] * f.line[None, None, :]
+
+
+def aniso_norm_reference(f, sym):
+    """Dense weighted transform norm: the reference for aniso.aniso_norm_p2.
+
+    Takes the fftn of the N^3 samples and weights every bin with the
+    symbol at its own signed frequency.
+    """
+    n, length = f.n, f.length
+    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+    weights = np.asarray(sym(freqs[:, None, None], freqs[None, :, None],
+                             freqs[None, None, :]), dtype=float)
+    total = float(np.sum((weights * np.abs(np.fft.fftn(dense_grid(f)))) ** 2))
+    return (length ** 1.5 / n ** 3) * np.sqrt(total)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def load_strict_json(path):
+    """Parse a JSON file, rejecting the NaN and Infinity tokens that
+    Python's json module writes and reads by default."""
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_reject_constant)

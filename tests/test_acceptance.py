@@ -6,8 +6,10 @@ defaults are sized for.  The module suites exercise the same code paths at
 toy sizes; these runs are the slow, full-size ones.
 """
 
+import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from contactflow import (
     standard_map,
 )
 from contactflow.cli import ExperimentConfig, run
+from helpers import load_strict_json
 
 pytestmark = pytest.mark.acceptance
 
@@ -109,6 +112,50 @@ def test_transform_norm_package_within_budget(tmp_path):
         "multiplier_drift", "multiplier_growth",
     }
     assert manifest.wall_time_s < 180.0
+
+
+NORMCHECK_PIN = Path(__file__).with_name("normcheck_pin.json")
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()[1:]  # after the transform comment
+    return [{k: float(v) if v else None for k, v in row.items()}
+            for row in csv.DictReader(lines)]
+
+
+def _leaves(obj, path=""):
+    """(path, value) for every scalar of a parsed JSON document."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, f"{path}/{k}")
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, f"{path}/{i}")
+    else:
+        yield path, obj
+
+
+def test_normcheck_numbers_match_recorded_values(tmp_path):
+    # normcheck at the exact benchmark workload's size, against the values
+    # the dense N^3 FFT norm gave (an absent bound recorded as null); the
+    # folded transform moves the bytes at the last-ulp level, so compare
+    # every number to 1e-12 relative.  parseval_rel is left out: its random
+    # input is a plane times a line, no longer an N^3 cube.
+    _run(tmp_path, "normcheck", "nc", {"iter_n": 128}, seed=7)
+    out = tmp_path / "nc"
+    report = load_strict_json(out / "normcheck_report.json")
+    del report["parseval_rel"]
+    got = dict(_leaves({
+        "composition_sweep.csv": _csv_rows(out / "composition_sweep.csv"),
+        "multiplier_sweep.csv": _csv_rows(out / "multiplier_sweep.csv"),
+        "normcheck_report.json": report}))
+    want = dict(_leaves(load_strict_json(NORMCHECK_PIN)))
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        else:
+            assert got[key] == value, key
 
 
 def test_oscillatory_cancellation_beats_trivial_bound(tmp_path):

@@ -23,15 +23,24 @@ from contactflow import (
     write_sweep_csv,
 )
 
+from helpers import aniso_norm_reference, dense_grid
+
 DMAP = HyperbolicBlockMap(2.0, 0.5)
 EXPS = dict(r=0.3, s=-0.4, q=0.0, r_prime=0.1, s_prime=-0.5)
 WIDE = CubeBump((2.0, 2.0, 2.0), (1.0, 1.0, 1.0), name="wb")
 
 
-def _noise_grid(n, seed, length=4.0):
+def _noise(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _noise_grid(n, seed, length=4.0, line=None):
+    """A random plane times a random line (or the given line)."""
     rng = np.random.default_rng(seed)
-    vals = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
-    return GridFunction3(vals, length, name=f"noise{seed}")
+    plane = _noise(rng, (n, n))
+    if line is None:
+        line = _noise(rng, n)
+    return GridFunction3(plane, line, length, name=f"noise{seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +81,7 @@ def test_symbol_monotone_in_exponents():
 def test_constant_grid_norm_for_any_symbol():
     length = 4.0
     c = -2.5 + 1.5j
-    f = GridFunction3(np.full((16, 16, 16), c), length)
+    f = GridFunction3(np.full((16, 16), c), np.ones(16), length)
     target = abs(c) * length ** 1.5
     for exps in [(0.0, 0.0, 0.0), (0.3, -0.4, 0.0), (2.0, -2.0, 1.0)]:
         assert aniso_norm_p2(f, AnisoSymbol(*exps)) == pytest.approx(
@@ -84,11 +93,10 @@ def test_single_mode_norm_reads_off_symbol():
     k = np.array([1.0, 2.0, 0.0])
     sym = AnisoSymbol(0.3, -0.4, 0.1)
 
-    def mode(x0, x1, x2):
-        return np.exp(2j * math.pi * (k[0] * x0 + k[1] * x1 + k[2] * x2)
-                      / length)
-
-    f = GridFunction3.from_evaluator(mode, n, length)
+    x = np.arange(n) * (length / n)
+    plane = np.exp(2j * math.pi * (k[0] * x[:, None] + k[1] * x[None, :])
+                   / length)
+    f = GridFunction3(plane, np.exp(2j * math.pi * k[2] * x / length), length)
     xi = 2.0 * math.pi * k / length
     target = float(sym(*xi)) * length ** 1.5
     assert aniso_norm_p2(f, sym) == pytest.approx(target, rel=1e-10)
@@ -105,12 +113,27 @@ def test_norm_homogeneous_and_triangle(seed, re, im):
     c = complex(re, im)
     sym = AnisoSymbol(0.3, -0.4, 0.0)
     f = _noise_grid(8, seed)
-    g = _noise_grid(8, seed + 1000)
+    g = _noise_grid(8, seed + 1000, line=f.line)
     nf = aniso_norm_p2(f, sym)
-    assert aniso_norm_p2(GridFunction3(c * f.values, f.length), sym) == pytest.approx(
+    cf = GridFunction3(c * f.values, f.line, f.length)
+    assert aniso_norm_p2(cf, sym) == pytest.approx(
         abs(c) * nf, abs=1e-10, rel=1e-10)
-    f_plus_g = GridFunction3(f.values + g.values, f.length)
+    f_plus_g = GridFunction3(f.values + g.values, f.line, f.length)
     assert aniso_norm_p2(f_plus_g, sym) <= nf + aniso_norm_p2(g, sym) + 1e-10
+
+
+@pytest.mark.parametrize("n", [15, 16, 33])
+def test_folded_norm_matches_dense_fftn(n):
+    # odd N, even N (with its Nyquist bin), symbols with q != 0 and
+    # exponents outside the admissible windows
+    symbols = [AnisoSymbol(0.3, -0.4, 0.0), AnisoSymbol(0.3, -0.4, 0.7),
+               AnisoSymbol(2.0, -2.0, 1.0), AnisoSymbol(0.6, -0.3, 0.0),
+               AnisoSymbol(-1.0, 1.5, -0.5), AnisoSymbol(0.0, 0.0, 0.0)]
+    for seed in range(3):
+        f = _noise_grid(n, seed, length=2.5 + seed)
+        for sym in symbols:
+            assert aniso_norm_p2(f, sym) == pytest.approx(
+                aniso_norm_reference(f, sym), rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +236,18 @@ def test_whole_cube_cutoff_is_identity():
     assert all(row["ratio"] == 1.0 for row in rep.rows)
     assert rep.max_rel_change == 0.0
     assert rep.bounded_under_refinement
+
+
+@pytest.mark.parametrize("axis", ["u", "s", "0"])
+def test_cut_is_the_dense_half_space_mask(axis):
+    # the cutoff lands on the plane for u and s and on the line for 0
+    g = _noise_grid(8, 5)
+    cut = HalfSpace(axis, 1.9).cut(g)
+    shape = [1, 1, 1]
+    shape[["u", "s", "0"].index(axis)] = 8
+    keep = (np.arange(8) * 0.5 <= 1.9).reshape(shape)
+    assert np.array_equal(dense_grid(cut), np.where(keep, dense_grid(g), 0.0))
+    assert cut.name == "1_U*noise5"
 
 
 def test_multiplier_stable_in_admissible_window():

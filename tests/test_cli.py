@@ -17,7 +17,7 @@ from contactflow.cli import (
     main,
     run,
 )
-from helpers import constant_roof_flow
+from helpers import constant_roof_flow, load_strict_json
 
 
 def _config(tmp_path, data, name="config.json"):
@@ -206,6 +206,25 @@ def test_normcheck_records_violated_symbol_hypotheses(tmp_path):
     assert "need r' < r" in sym.detail
     report = json.loads((tmp_path / "nc" / "normcheck_report.json").read_text())
     assert report["symbol"]["hypothesis_ok"] is False
+
+
+def test_normcheck_json_artifacts_are_strict_json(tmp_path):
+    # a multiplier row has no bound: JSON null and an empty CSV cell, never
+    # a bare NaN token
+    out = tmp_path / "nc"
+    run(ExperimentConfig.from_json_dict(
+        {"experiment": "normcheck", "out": str(out),
+         "parameters": {"parseval_n": 8, "n_per_axis": 9, "grid_n": 32,
+                        "iter_n": 32, "mult_ns": [16, 32]}}))
+    docs = {p.name: load_strict_json(p) for p in sorted(out.glob("*.json"))}
+    assert sorted(docs) == ["manifest.json", "normcheck_report.json",
+                            "symbol_report.json"]
+    report = docs["normcheck_report.json"]
+    rows = (report["multiplier_admissible"]["rows"]
+            + report["multiplier_growth"]["rows"])
+    assert len(rows) == 6 and all(row["bound"] is None for row in rows)
+    lines = (out / "multiplier_sweep.csv").read_text().splitlines()[2:]
+    assert len(lines) == 6 and all(line.endswith(",") for line in lines)
 
 
 def test_closedness_fails_on_roof_without_quadratic_keys():
