@@ -17,6 +17,10 @@ class PathDependence(ContactFlowError):
     """Numeric line integrals along homotopic paths disagree beyond tolerance."""
 
 
+class UnnormalizedRegion(ContactFlowError):
+    """A roof region holds no point of the grid its constant is normalized on."""
+
+
 class ConeNotInvariant(ContactFlowError):
     """Expansion constants requested for a cone the map does not preserve."""
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import _polygon as pg
 from ._rng import DEFAULT_CHUNK, spawn_rng
 from ._quadrature import gl_interval
-from .errors import ClosednessViolation, NonFinite, PathDependence
+from .errors import ClosednessViolation, NonFinite, PathDependence, UnnormalizedRegion
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +779,8 @@ class PerturbedRoof:
     checked against the transposed path at construction.  The wrapped pieces
     add k * (f1 lift) exactly as in the affine case.  Constants are
     normalized per (branch, m) region from a deterministic grid (plus seam
-    bands so thin shear-wrap regions are sampled); a region too thin for the
-    grid falls back to the (branch, 0) constant and sets sliver_fallback.
+    bands so thin shear-wrap regions are sampled); a region the grid misses
+    has no constant, and evaluating the roof there raises UnnormalizedRegion.
     """
 
     GRID = 256  # midpoints per axis of the normalization grid
@@ -791,16 +791,18 @@ class PerturbedRoof:
         self.nodes = int(nodes)
         self.anchor = (0.25, 0.25)
         self._const: dict[tuple[int, int], float] = {}
-        self.sliver_fallback = False
         self._normalize()
         self._check_path_independence()
 
-    # lifted 1-form components per (branch, m)
-    def _ab(self, x, y, branch, m):
-        f1, f2, df1 = self.pmap.lift_components(x, y, branch, m)
-        a = y - f2 * df1[0]
-        b = -f2 * df1[1]
-        return a, b
+    # the closed 1-form on the (branch, m) lift is a dx + b dy with
+    # a = y - f2 (1 + g) and b = -f2, in the operation order of
+    # PerturbedTorusMap.lift_components
+    def _f2(self, x, y, branch, m):
+        return 0.5 * x + 1.5 * (self.pmap._shear(x, y) - float(m)) - 0.5 * float(branch == 2)
+
+    def _a(self, x, y, branch, m):
+        g = 2.0 * np.pi * self.pmap.epsilon * np.cos(2.0 * np.pi * x)
+        return y - self._f2(x, y, branch, m) * (1.0 + g)
 
     def _potential_raw(self, x, y, branch, m, x_first: bool = True):
         """L-path integral of the (branch, m) lift from the anchor."""
@@ -809,21 +811,19 @@ class PerturbedRoof:
         ax, ay = self.anchor
         t, w = gl_interval(0.0, 1.0, self.nodes)
 
-        def leg_x(x0, x1, yc):
-            xs = x0[..., None] + (x1 - x0)[..., None] * t
-            a, _ = self._ab(xs, yc[..., None], branch, m)
-            return (x1 - x0) * np.sum(a * w, axis=-1)
+        def leg_x(x1, yc):
+            xs = ax + (x1 - ax)[:, None] * t
+            return (x1 - ax) * np.sum(self._a(xs, yc, branch, m) * w, axis=-1)
 
-        def leg_y(y0, y1, xc):
-            ys = y0[..., None] + (y1 - y0)[..., None] * t
-            _, b = self._ab(xc[..., None], ys, branch, m)
-            return (y1 - y0) * np.sum(b * w, axis=-1)
+        def leg_y(y1, xc):
+            ys = ay + (y1 - ay)[:, None] * t
+            return (y1 - ay) * np.sum(-self._f2(xc, ys, branch, m) * w, axis=-1)
 
-        ax_a = np.full(x.shape, ax)
-        ay_a = np.full(x.shape, ay)
         if x_first:
-            return leg_x(ax_a, x, ay_a) + leg_y(ay_a, y, x)
-        return leg_y(ay_a, y, ax_a) + leg_x(ax_a, x, y)
+            # the x-leg runs at the anchor's y, so it depends on x alone
+            xu, inv = np.unique(x, return_inverse=True)
+            return leg_x(xu, ay)[inv] + leg_y(y, x[:, None])
+        return leg_y(y, ax) + leg_x(x, y[:, None])
 
     def _normalization_points(self):
         xs = (np.arange(self.GRID) + 0.5) / self.GRID
@@ -851,13 +851,17 @@ class PerturbedRoof:
 
     def _normalize(self):
         gx, gy = self._normalization_points()
-        branch, _, m = self.pmap.label_arrays(gx, gy)
-        for b, mm in {(int(bb), int(mv)) for bb, mv in zip(branch, m)}:
-            sel = (branch == b) & (m == mm)
-            raw = self._potential_raw(gx[sel], gy[sel], b, mm)
-            self._const[(b, mm)] = self.tau_minus - float(raw.min())
-        pid = self.pmap.piece_of_arrays(gx, gy)
-        full = self.tau_arrays(gx, gy, pid)
+        pid = self.pmap.piece_of_arrays(gx, gy)  # raises on an unregistered label
+        labels = np.asarray(self.pmap._labels)[pid]  # rows (branch, k, m)
+        regions, region = np.unique(labels[:, ::2], axis=0, return_inverse=True)
+        full = np.empty(gx.shape)
+        for j, (b, m) in enumerate(regions.tolist()):
+            sel = region == j
+            x, y = gx[sel], gy[sel]
+            raw = self._potential_raw(x, y, b, m)
+            self._const[(b, m)] = self.tau_minus - float(raw.min())
+            f1, _, _ = self.pmap.lift_components(x, y, b, m)
+            full[sel] = raw + self._const[(b, m)] + labels[sel, 1] * f1
         self.tau_max = float(full.max()) * (1.0 + 1e-3) + 1e-6
         self.volume = float(full[: self.GRID ** 2].mean())  # midpoint rule
 
@@ -874,13 +878,6 @@ class PerturbedRoof:
                     f"branch {b}: L-path integrals disagree by {resid:.3e} > {tol:.1e}"
                 )
 
-    def _const_for(self, b: int, m: int) -> float:
-        key = (b, m)
-        if key not in self._const:
-            self.sliver_fallback = True
-            key = (b, 0)
-        return self._const[key]
-
     def tau_arrays(self, x, y, pid):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -890,8 +887,12 @@ class PerturbedRoof:
             sel = pid == i
             if not np.any(sel):
                 continue
+            if (b, m) not in self._const:
+                raise UnnormalizedRegion(
+                    f"roof region (branch {b}, m {m}) holds no normalization point"
+                )
             f1, _, _ = self.pmap.lift_components(x[sel], y[sel], b, m)
-            out[sel] = self._potential_raw(x[sel], y[sel], b, m) + self._const_for(b, m) + k * f1
+            out[sel] = self._potential_raw(x[sel], y[sel], b, m) + self._const[(b, m)] + k * f1
         return out
 
     def tau(self, x: float, y: float, pid: int) -> float:
@@ -907,10 +908,9 @@ class PerturbedRoof:
             sel = pid == i
             if not np.any(sel):
                 continue
-            a, bb = self._ab(x[sel], y[sel], b, m)
-            _, _, df1 = self.pmap.lift_components(x[sel], y[sel], b, m)
-            gx[sel] = a + k * df1[0]
-            gy[sel] = bb + k * df1[1]
+            _, _, (df1_x, _) = self.pmap.lift_components(x[sel], y[sel], b, m)
+            gx[sel] = self._a(x[sel], y[sel], b, m) + k * df1_x
+            gy[sel] = -self._f2(x[sel], y[sel], b, m) + k
         return gx, gy
 
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from contactflow import RoofFunction, SuspensionFlow, standard_map
 from contactflow import _polygon as pg
+from contactflow._quadrature import gl_interval
 from contactflow._rng import spawn_rng
 
 
@@ -219,6 +220,68 @@ def aniso_norm_reference(f, sym):
                              freqs[None, None, :]), dtype=float)
     total = float(np.sum((weights * np.abs(np.fft.fftn(dense_grid(f)))) ** 2))
     return (length ** 1.5 / n ** 3) * np.sqrt(total)
+
+
+def perturbed_roof_reference(roof):
+    """Whole-lift line integrals: the reference for flow.PerturbedRoof.
+
+    Every leg evaluates both 1-form components through
+    ``lift_components`` at every (point, node) pair and keeps one, and the
+    x-leg runs once per point.  Returns ``potential_raw(x, y, branch, m,
+    x_first)``, ``tau_arrays(x, y, pid)`` and ``grad_arrays(x, y, pid)``
+    on the roof's map, nodes, anchor and constants.
+    """
+    pmap = roof.pmap
+
+    def ab(x, y, branch, m):
+        f1, f2, df1 = pmap.lift_components(x, y, branch, m)
+        return y - f2 * df1[0], -f2 * df1[1]
+
+    def potential_raw(x, y, branch, m, x_first=True):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        ax, ay = roof.anchor
+        t, w = gl_interval(0.0, 1.0, roof.nodes)
+
+        def leg_x(x0, x1, yc):
+            xs = x0[..., None] + (x1 - x0)[..., None] * t
+            a, _ = ab(xs, yc[..., None], branch, m)
+            return (x1 - x0) * np.sum(a * w, axis=-1)
+
+        def leg_y(y0, y1, xc):
+            ys = y0[..., None] + (y1 - y0)[..., None] * t
+            _, b = ab(xc[..., None], ys, branch, m)
+            return (y1 - y0) * np.sum(b * w, axis=-1)
+
+        ax_a = np.full(x.shape, ax)
+        ay_a = np.full(x.shape, ay)
+        if x_first:
+            return leg_x(ax_a, x, ay_a) + leg_y(ay_a, y, x)
+        return leg_y(ay_a, y, ax_a) + leg_x(ax_a, x, y)
+
+    def tau_arrays(x, y, pid):
+        out = np.empty(np.shape(x))
+        for (b, k, m), i in pmap._index.items():
+            sel = pid == i
+            if np.any(sel):
+                f1, _, _ = pmap.lift_components(x[sel], y[sel], b, m)
+                out[sel] = (potential_raw(x[sel], y[sel], b, m)
+                            + roof._const[(b, m)] + k * f1)
+        return out
+
+    def grad_arrays(x, y, pid):
+        gx = np.empty(np.shape(x))
+        gy = np.empty(np.shape(x))
+        for (b, k, m), i in pmap._index.items():
+            sel = pid == i
+            if np.any(sel):
+                a, bb = ab(x[sel], y[sel], b, m)
+                _, _, df1 = pmap.lift_components(x[sel], y[sel], b, m)
+                gx[sel] = a + k * df1[0]
+                gy[sel] = bb + k * df1[1]
+        return gx, gy
+
+    return potential_raw, tau_arrays, grad_arrays
 
 
 def _reject_constant(token):

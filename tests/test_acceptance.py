@@ -29,11 +29,13 @@ from helpers import load_strict_json
 pytestmark = pytest.mark.acceptance
 
 
-def _run(tmp_path, experiment, out, parameters=None, seed=0):
+def _run(tmp_path, experiment, out, parameters=None, seed=0, flow=None):
     data = {"experiment": experiment, "out": str(tmp_path / out),
             "seed": seed}
     if parameters:
         data["parameters"] = parameters
+    if flow:
+        data["flow"] = flow
     cfg = ExperimentConfig.from_json_dict(data)
     manifest = run(cfg)
     detail = {c.name: (c.passed, c.value, c.detail) for c in manifest.checks}
@@ -229,15 +231,51 @@ SAMPLING_SHA256 = {
 SAMPLING_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 
+# sha256 of the numeric artifacts of the benchmark's perturbed operations
+# (epsilon 0.02) at seed 7, recorded before the line-integral roof stopped
+# evaluating the whole lift at every quadrature node (same versions and
+# machine as above).  The roof promises the same bits.
+PERTURBED_SHA256 = {
+    "resolvent": {
+        "resolvent_points.csv": "8a026c9f258898b08b805c3fe59466080df0af13ec575d5be765af96df0a9929",
+        "resolvent_report.json": "84704d3819884a3315bad336f30958ed021f60c08dd8b95a938cf5b68865ee10",
+    },
+    "ulam": {
+        "ulam_report.json": "f720a719ffe1faca8ceaa0c92dd679403672b3c374f62f2b8875c4661cbcaac2",
+        "ulam_spectrum.csv": "436f62dd2cd5b53a74128f180903ded646ce2a773202faaae850433c356f455f",
+    },
+    "correlate": {
+        "correlation.csv": "a7a34f32e391a9e24e03b71d96ff71675fe4a18692c4a779255e8452ee9f2582",
+        "decay_fit.json": "503e07865596094d6914240c4bf93c009ad13fbd9c0b0320d7a8e455ba573c48",
+    },
+}
+PERTURBED_FLOW = {"map": "perturbed", "epsilon": 0.02, "tau_minus": 1.0}
+
+
+def _artifact_sha256(tmp_path, experiment, parameters, flow=None):
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if versions != SAMPLING_VERSIONS:
+        pytest.skip(f"hashes recorded with {SAMPLING_VERSIONS}, running {versions}")
+    manifest = _run(tmp_path, experiment, experiment, parameters=parameters,
+                    seed=7, flow=flow)
+    return {name: hashlib.sha256((tmp_path / experiment / name).read_bytes()).hexdigest()
+            for name in manifest.artifacts if name != "manifest.json"}
+
+
 @pytest.mark.parametrize("experiment,parameters", [
     ("ulam", {"refine": False}),
     ("correlate", {"n_samples": 100000}),
 ])
 def test_sampling_artifacts_match_recorded_sha256(tmp_path, experiment, parameters):
-    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
-    if versions != SAMPLING_VERSIONS:
-        pytest.skip(f"hashes recorded with {SAMPLING_VERSIONS}, running {versions}")
-    manifest = _run(tmp_path, experiment, experiment, parameters=parameters, seed=7)
-    got = {name: hashlib.sha256((tmp_path / experiment / name).read_bytes()).hexdigest()
-           for name in manifest.artifacts if name != "manifest.json"}
-    assert got == SAMPLING_SHA256[experiment]
+    assert _artifact_sha256(tmp_path, experiment, parameters) == SAMPLING_SHA256[experiment]
+
+
+@pytest.mark.parametrize("experiment,parameters", [
+    ("resolvent", {"n_points": 5, "n_nested": 0}),
+    ("ulam", {"nx": 8, "ny": 8, "nz": 4, "samples_per_cell": 100,
+              "refine": False}),
+    ("correlate", {"n_samples": 8000, "t_max": 5.0, "t_step": 0.25}),
+])
+def test_perturbed_artifacts_match_recorded_sha256(tmp_path, experiment, parameters):
+    got = _artifact_sha256(tmp_path, experiment, parameters, PERTURBED_FLOW)
+    assert got == PERTURBED_SHA256[experiment]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from contactflow import (
+    ConeNotInvariant,
     PieceExplosion,
     default_dolgopyat_params,
     dolgopyat_experiment,
@@ -20,7 +21,7 @@ from contactflow import (
     write_dolgopyat_csv,
 )
 from contactflow import constant_observable
-from contactflow.averaging import _LeafPiece, _rebase
+from contactflow.averaging import _LeafPiece, _rebase, measured_lambda_bar
 from helpers import grid_points
 
 PSI = dict(center=(0.3, 0.4, 0.5), halfwidths=(0.2, 0.2, 0.3))
@@ -85,6 +86,14 @@ def test_default_cancellation_params(flow):
     assert params.delta_for(-8.0) == params.delta_for(8.0)
     assert params.delta_for(0.0) == 0.25
     assert params.nodes_per_unit_for(128.0) == 131
+
+
+@pytest.mark.xfail(strict=True, raises=ConeNotInvariant, reason=(
+    "ROADMAP item 3: measured_lambda_bar fixes the cone aperture at 0.01, "
+    "which the perturbed map widens to 0.0144, so every perturbed "
+    "dolgopyat ends in ConeNotInvariant"))
+def test_measured_lambda_bar_on_the_perturbed_flow(pflow):
+    assert measured_lambda_bar(pflow) > 1.0
 
 
 def test_cancellation_anchor_constant_observable(flow):

@@ -10,6 +10,7 @@ from contactflow import (
     FlowDiag,
     NonFinite,
     PathDependence,
+    UnnormalizedRegion,
     build_perturbed_map,
     build_roof,
     single_piece_map,
@@ -24,6 +25,7 @@ from helpers import (
     forward_reference,
     grid_points,
     interior_points,
+    perturbed_roof_reference,
     wrap_diff,
 )
 
@@ -600,6 +602,56 @@ def test_perturbed_semigroup(pflow):
 def test_perturbed_path_dependence_detected():
     with pytest.raises(PathDependence):
         PerturbedRoof(PerturbedTorusMap(0.03), 1.0, nodes=2)
+
+
+# tau_max, volume and the (branch, m) constants of the perturbed roof,
+# recorded from the roof that evaluated the whole lift at every node
+PERTURBED_ROOF_VALUES = {
+    0.02: (2.370881157893835, 1.6618492581113427,
+           {(1, 0): 1.642766901138162, (1, 1): 0.9222784738322798,
+            (2, -1): 1.6227669011381622, (2, 0): 1.652766901138162}),
+    0.0: (2.3772537180627564, 1.6676445007324219,
+          {(1, 0): 1.65625, (2, 0): 1.6562499999999998}),
+}
+
+
+def _roof_probe_points(eps):
+    """Random points, 40 verticals of 25 points, the seam bands and the
+    branch curve +- 1e-9."""
+    rng = spawn_rng(89, 10)
+    one = np.nextafter(1.0, 0.0)
+    xv = np.repeat(rng.random(40), 25)
+    xb = rng.random(500)
+    band = max(eps, 1e-3) * rng.random(500)
+    curve = (1.0 - xb - eps * np.sin(2.0 * np.pi * xb)) % 1.0
+    px = [rng.random(2000), xv, xb, xb, xb, xb]
+    py = [rng.random(2000), rng.random(xv.size), band, one - band,
+          np.clip(curve - 1e-9, 0.0, one), np.clip(curve + 1e-9, 0.0, one)]
+    return np.concatenate(px), np.concatenate(py)
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.0])
+def test_perturbed_roof_matches_whole_lift_reference_bit_for_bit(eps):
+    roof = build_perturbed_map(eps).roof
+    assert (roof.tau_max, roof.volume, roof._const) == PERTURBED_ROOF_VALUES[eps]
+    x, y = _roof_probe_points(eps)
+    pid = roof.pmap.piece_of_arrays(x, y)
+    potential_raw, tau_arrays, grad_arrays = perturbed_roof_reference(roof)
+    for b, m in roof._const:
+        for x_first in (True, False):
+            assert np.array_equal(roof._potential_raw(x, y, b, m, x_first),
+                                  potential_raw(x, y, b, m, x_first)), (b, m, x_first)
+    assert np.array_equal(roof.tau_arrays(x, y, pid), tau_arrays(x, y, pid))
+    for got, want in zip(roof.grad_arrays(x, y, pid), grad_arrays(x, y, pid)):
+        assert np.array_equal(got, want)
+
+
+def test_perturbed_roof_raises_on_a_region_without_constant(pflow):
+    # label (1, k, -1) needs sin 2 pi x < 0, so x > 1/2, and that puts the
+    # wrapped point in branch 2: no normalization point lies in it
+    pid = pflow.base._index[(1, 0, -1)]
+    with pytest.raises(UnnormalizedRegion, match=r"\(branch 1, m -1\)"):
+        pflow.roof.tau_arrays(np.array([0.75]), np.array([0.01]), np.array([pid]))
 
 
 def test_interior_point_helper_respects_margins(flow):
