@@ -13,9 +13,24 @@ the full key path)::
       "experiment": "verify",          # must match the subcommand if present
       "parameters": { ... },           # per-experiment, see PARAM_SCHEMA
       "seed":       0,                 # 64-bit
-      "out":        "runs/verify",
-      "tolerances": { "contact_invariance": 1e-6, ... }
+      "out":        "runs/verify"
     }
+
+``epsilon`` lies in [0, 0.05] and must be 0 for ``f0``.  The parameters
+each experiment accepts:
+
+    verify      none
+    correlate   t_max, t_step, n_samples, n_boot
+    resolvent   n_points, n_nested
+    ulam        nx, ny, nz, samples_per_cell, refine
+    dolgopyat   eval_points
+    complexity  n_max
+    normcheck   r_prime, n_per_axis, grid_n, iter_n, parseval_n, mult_ns
+    leafstats   ell_max, piece_cap
+
+Every other experiment size is a constant in its runner.  Each check's bound
+is its entry in ``TOLERANCES``; a bound changes only by a code change
+recorded in CHANGES.md.
 
 Command line::
 
@@ -53,6 +68,7 @@ from contactflow._quadrature import fmt17, wrap_delta
 from contactflow._rng import spawn_rng
 from contactflow.errors import ConfigError, ContactFlowError
 from contactflow.flow import (
+    EPSILON_MAX,
     SuspensionFlow,
     build_perturbed_map,
     build_roof,
@@ -73,100 +89,49 @@ EXPERIMENTS = (
 
 # Per-experiment parameter schema: name -> (kind, default).  Kinds double as
 # validators; defaults double as documentation and as the resolved values a
-# config round-trips through.
+# config round-trips through.  Only values some benchmark workload or test
+# sets are parameters; every other experiment size is a constant at its use.
 PARAM_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "verify": {
-        "n_contact": ("int", 10000),
-        "n_gradient": ("int", 20000),
-        "n_volume": ("int", 200000),
-        "n_pairs": ("int", 200),
-        "n_rays": ("int", 10000),
-        "aperture": ("float", 0.01),
-        "t_lo": ("float", 0.5),
-        "t_hi": ("float", 5.0),
-        "box": ("box3", [[0.1, 0.4], [0.2, 0.6], [0.15, 0.65]]),
-    },
+    "verify": {},
     "correlate": {
-        "psi1": ("bump", {"center": [0.3, 0.4, 0.30],
-                          "halfwidths": [0.15, 0.15, 0.15]}),
-        "psi2": ("bump", {"center": [0.3, 0.4, 0.80],
-                          "halfwidths": [0.15, 0.15, 0.25]}),
         "t_max": ("float", 30.0),
         "t_step": ("float", 0.5),
         "n_samples": ("int", 1000000),
-        "n_batches": ("int", 64),
         "n_boot": ("int", 1000),
-        "min_points": ("int", 8),
     },
     "resolvent": {
-        "a": ("float", 2.0),
-        "b": ("float", 3.0),
-        "nodes_per_unit": ("int", 128),
-        "tolerance": ("float", 1e-4),
         "n_points": ("int", 200),
         "n_nested": ("int", 5),
-        "powers": ("intlist", [1, 2, 3]),
-        "psi": ("bump", {"center": [0.3, 0.4, 0.5],
-                         "halfwidths": [0.2, 0.2, 0.3]}),
     },
     "ulam": {
         "nx": ("int", 24),
         "ny": ("int", 24),
         "nz": ("int", 8),
         "samples_per_cell": ("int", 200),
-        "t": ("float", 5.0),
-        "top_k": ("int", 8),
         "refine": ("bool", True),
     },
     "dolgopyat": {
-        "a": ("float", 2.0),
-        "m": ("int", 2),
-        "gamma": ("float", 0.7),
-        "b_list": ("numlist", [8.0, 16.0, 32.0, 64.0, 128.0]),
-        "anchors": ("numlist", [2.0, 8.0, 32.0]),
         "eval_points": ("int", 200),
-        "baseline": ("bool", True),
-        "psi": ("bump", {"center": [0.3, 0.4, 0.5],
-                         "halfwidths": [0.2, 0.2, 0.3]}),
     },
     "complexity": {
         "n_max": ("int", 8),
-        "control": ("bool", True),
     },
     "normcheck": {
-        "r": ("float", 0.3),
-        "s": ("float", -0.4),
-        "q": ("float", 0.0),
         "r_prime": ("float", 0.1),
-        "s_prime": ("float", -0.5),
-        "xi_max": ("float", 1e6),
         "n_per_axis": ("int", 33),
         "grid_n": ("int", 128),
         "iter_n": ("int", 192),
-        "length": ("float", 4.0),
-        "k_max": ("int", 4),
         "parseval_n": ("int", 32),
-        "bump_center": ("vec3", [2.0, 2.0, 2.0]),
-        "bump_halfwidths": ("vec3", [1.0, 1.0, 1.0]),
-        "narrow_halfwidths": ("vec3", [0.125, 1.0, 1.0]),
-        "mult_threshold": ("float", 2.0),
-        "mult_exponents": ("vec3", [0.3, -0.3, 0.0]),
         "mult_ns": ("intlist", [64, 128]),
-        "grow_r": ("float", 0.6),
     },
     "leafstats": {
-        "delta": ("float", 0.05),
-        "r": ("float", 0.002),
         "ell_max": ("int", 40),
-        "step": ("float", 0.0),
-        "max_piece_len": ("float", 0.25),
         "piece_cap": ("int", 1000000),
-        "anchor": ("vec3", [0.3, 0.4, 0.5]),
     },
 }
 
-# Check-name -> default tolerance.  Overridable through config "tolerances";
-# unknown names are rejected.
+# Check name -> tolerance.  A bound changes only by a code change recorded
+# in CHANGES.md; no config can move it.
 TOLERANCES: dict[str, float] = {
     "closedness": 0.0,
     "roof_gradient": 1e-10,
@@ -209,10 +174,6 @@ TOLERANCES: dict[str, float] = {
 # ---------------------------------------------------------------------------
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _validate_param(path: str, kind: str, value):
     """Coerce one parameter value to its schema kind or raise ConfigError."""
     if kind == "bool":
@@ -224,52 +185,16 @@ def _validate_param(path: str, kind: str, value):
             raise ConfigError(f"{path}: expected an integer")
         return value
     if kind == "float":
-        if not _is_number(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number")
         return float(value)
-    if kind == "vec3":
-        if (not isinstance(value, list) or len(value) != 3
-                or not all(_is_number(v) for v in value)):
-            raise ConfigError(f"{path}: expected a list of 3 numbers")
-        return [float(v) for v in value]
-    if kind == "numlist":
-        if (not isinstance(value, list) or not value
-                or not all(_is_number(v) for v in value)):
-            raise ConfigError(f"{path}: expected a nonempty list of numbers")
-        return [float(v) for v in value]
     if kind == "intlist":
         if (not isinstance(value, list) or not value
                 or not all(isinstance(v, int) and not isinstance(v, bool)
                            for v in value)):
             raise ConfigError(f"{path}: expected a nonempty list of integers")
         return list(value)
-    if kind == "box3":
-        ok = (isinstance(value, list) and len(value) == 3
-              and all(isinstance(p, list) and len(p) == 2
-                      and all(_is_number(v) for v in p)
-                      and p[0] < p[1] for p in value))
-        if not ok:
-            raise ConfigError(f"{path}: expected 3 [lo, hi] pairs with lo < hi")
-        return [[float(p[0]), float(p[1])] for p in value]
-    if kind == "bump":
-        return _validate_bump(path, value)
     raise AssertionError(f"unknown schema kind {kind}")
-
-
-def _validate_bump(path: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected {{center, halfwidths}}")
-    for key in value:
-        if key not in ("center", "halfwidths"):
-            raise ConfigError(f"{path}.{key}: unknown key")
-    for key in ("center", "halfwidths"):
-        if key not in value:
-            raise ConfigError(f"{path}.{key}: missing")
-    out = {key: _validate_param(f"{path}.{key}", "vec3", value[key])
-           for key in ("center", "halfwidths")}
-    if any(h <= 0 for h in out["halfwidths"]):
-        raise ConfigError(f"{path}.halfwidths: must be positive")
-    return out
 
 
 @dataclass(frozen=True, eq=True)
@@ -283,7 +208,6 @@ class ExperimentConfig:
     parameters: dict = field(default_factory=dict)
     seed: int = 0
     out: str = ""
-    tolerances: dict = field(default_factory=dict)
 
     @classmethod
     def from_json_dict(cls, data: dict, experiment: str | None = None
@@ -291,8 +215,7 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config root: expected a JSON object")
         for key in data:
-            if key not in ("flow", "experiment", "parameters", "seed", "out",
-                           "tolerances"):
+            if key not in ("flow", "experiment", "parameters", "seed", "out"):
                 raise ConfigError(f"{key}: unknown key")
         exp = data.get("experiment", experiment)
         if exp is None:
@@ -316,12 +239,14 @@ class ExperimentConfig:
         eps = _validate_param("flow.epsilon", "float", fdata.get("epsilon", 0.0))
         if fmap == "f0" and eps != 0.0:
             raise ConfigError("flow.epsilon: must be 0 when flow.map is f0")
+        if not 0.0 <= eps <= EPSILON_MAX:
+            raise ConfigError(f"flow.epsilon: must lie in [0, {EPSILON_MAX}]")
         # closedness and complexity read the exact rational pieces of f0
         if fmap == "perturbed" and exp in ("verify", "complexity"):
             raise ConfigError(f"flow.map: {exp} needs the exact map \"f0\"")
         tau_minus = _validate_param("flow.tau_minus", "float",
                                     fdata.get("tau_minus", 1.0))
-        if tau_minus <= 0:
+        if not tau_minus > 0:
             raise ConfigError("flow.tau_minus: must be positive")
 
         schema = PARAM_SCHEMA[exp]
@@ -349,20 +274,8 @@ class ExperimentConfig:
         if not isinstance(out, str) or not out:
             raise ConfigError("out: expected a nonempty string")
 
-        tdata = data.get("tolerances", {})
-        if not isinstance(tdata, dict):
-            raise ConfigError("tolerances: expected a JSON object")
-        tols = {}
-        for key, val in tdata.items():
-            if key not in TOLERANCES:
-                raise ConfigError(f"tolerances.{key}: unknown check name")
-            if not _is_number(val):
-                raise ConfigError(f"tolerances.{key}: expected a number")
-            tols[key] = float(val)
-
         return cls(experiment=exp, flow_map=fmap, epsilon=eps,
-                   tau_minus=tau_minus, parameters=params, seed=seed,
-                   out=out, tolerances=tols)
+                   tau_minus=tau_minus, parameters=params, seed=seed, out=out)
 
     def to_json_dict(self) -> dict:
         return {
@@ -372,7 +285,6 @@ class ExperimentConfig:
             "parameters": self.parameters,
             "seed": self.seed,
             "out": self.out,
-            "tolerances": self.tolerances,
         }
 
     def canonical_json(self) -> str:
@@ -381,11 +293,6 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    def tolerance(self, name: str) -> float:
-        if name not in TOLERANCES:
-            raise AssertionError(f"unregistered check name {name}")
-        return self.tolerances.get(name, TOLERANCES[name])
 
     def build_flow(self) -> SuspensionFlow:
         if self.flow_map == "perturbed":
@@ -425,17 +332,17 @@ class CheckResult:
                 "detail": self.detail}
 
 
-def _check(checks: list, cfg: ExperimentConfig, name: str, value,
-           detail: str = "", passes=operator.le) -> None:
-    """Record check name as passes(value, tolerance), with the tolerance
-    configured for name."""
-    tol = cfg.tolerance(name)
+def _check(checks: list, name: str, value, detail: str = "",
+           passes=operator.le) -> None:
+    """Record check name as passes(value, TOLERANCES[name])."""
+    tol = TOLERANCES[name]
     checks.append(CheckResult(name, passes(value, tol), value, tol, detail))
 
 
 @dataclass
 class RunManifest:
     experiment: str
+    config: dict
     config_hash: str
     code_version: str
     wall_time_s: float
@@ -449,6 +356,7 @@ class RunManifest:
     def to_json_dict(self) -> dict:
         return {
             "experiment": self.experiment,
+            "config": self.config,
             "config_hash": self.config_hash,
             "code_version": self.code_version,
             "wall_time_s": self.wall_time_s,
@@ -651,36 +559,35 @@ def _semigroup_inversion(flow: SuspensionFlow, n: int, seed: int
     return semi, inv
 
 
-def _run_verify(flow, prm, seed, cfg, writer, checks):
+def _run_verify(flow, prm, seed, writer, checks):
     ok, detail = _closedness_exact(flow)
     checks.append(CheckResult("closedness", ok, 0.0 if ok else 1.0,
-                              cfg.tolerance("closedness"), detail))
+                              TOLERANCES["closedness"], detail))
 
-    _check(checks, cfg, "roof_gradient",
-           _roof_gradient_residual(flow, prm["n_gradient"], seed))
+    _check(checks, "roof_gradient", _roof_gradient_residual(flow, 20000, seed))
 
-    contact, used = _contact_invariance_residual(
-        flow, prm["n_contact"], seed, prm["t_lo"], prm["t_hi"])
-    tol = cfg.tolerance("contact_invariance")
+    n_contact = 10000
+    contact, used = _contact_invariance_residual(flow, n_contact, seed, 0.5, 5.0)
+    tol = TOLERANCES["contact_invariance"]
     checks.append(CheckResult("contact_invariance",
-                              contact <= tol and used >= prm["n_contact"],
+                              contact <= tol and used >= n_contact,
                               contact, tol, f"valid samples {used}"))
 
-    zscore, detail = _volume_box_z(flow, prm["box"], prm["n_volume"], seed)
-    _check(checks, cfg, "volume_box_z", zscore, detail)
+    box = ((0.1, 0.4), (0.2, 0.6), (0.15, 0.65))
+    zscore, detail = _volume_box_z(flow, box, 200000, seed)
+    _check(checks, "volume_box_z", zscore, detail)
 
-    semi, inv = _semigroup_inversion(flow, prm["n_pairs"], seed)
-    _check(checks, cfg, "semigroup", semi)
-    _check(checks, cfg, "inversion", inv)
+    semi, inv = _semigroup_inversion(flow, 200, seed)
+    _check(checks, "semigroup", semi)
+    _check(checks, "inversion", inv)
 
-    cone_rep = check_cone_invariance(flow.base, Cone2(1.0),
-                                     n_rays=prm["n_rays"])
-    _check(checks, cfg, "cone_aperture", cone_rep.max_image_aperture,
+    cone_rep = check_cone_invariance(flow.base, Cone2(1.0), n_rays=10000)
+    _check(checks, "cone_aperture", cone_rep.max_image_aperture,
            f"margin {cone_rep.margin:.3e}")
 
-    lam_u, lam_s, _ = expansion_constants(flow.base, Cone2(prm["aperture"]))
+    lam_u, lam_s, _ = expansion_constants(flow.base, Cone2(0.01))
     rel = max(abs(lam_u - 2.0) / 2.0, abs(lam_s - 0.5) / 0.5)
-    _check(checks, cfg, "expansion_rel", rel,
+    _check(checks, "expansion_rel", rel,
            f"lambda_u={lam_u:.6f} lambda_s={lam_s:.6f}")
 
     writer.write_json("verify_report.json", {
@@ -695,26 +602,21 @@ def _run_verify(flow, prm, seed, cfg, writer, checks):
 # ---------------------------------------------------------------------------
 
 
-def _bump_from_spec(spec: dict, name: str) -> transfer.Observable:
-    return transfer.flow_box_bump(tuple(spec["center"]),
-                                  tuple(spec["halfwidths"]), name=name)
-
-
-def _run_correlate(flow, prm, seed, cfg, writer, checks):
-    psi1 = _bump_from_spec(prm["psi1"], "psi1")
-    psi2 = _bump_from_spec(prm["psi2"], "psi2")
+def _run_correlate(flow, prm, seed, writer, checks):
+    psi1 = transfer.flow_box_bump((0.3, 0.4, 0.30), (0.15, 0.15, 0.15),
+                                  name="psi1")
+    psi2 = transfer.flow_box_bump((0.3, 0.4, 0.80), (0.15, 0.15, 0.25),
+                                  name="psi2")
     n_steps = int(round(prm["t_max"] / prm["t_step"]))
     t_grid = np.arange(n_steps + 1) * prm["t_step"]
     series = transfer.correlation(flow, psi1, psi2, t_grid,
-                                  prm["n_samples"], seed,
-                                  n_batches=prm["n_batches"])
+                                  prm["n_samples"], seed)
     series.to_csv(writer.path("correlation.csv"))
 
-    fit = transfer.fit_decay(series, seed=seed, n_boot=prm["n_boot"],
-                             min_points=prm["min_points"])
-    _check(checks, cfg, "decay_positive", fit.sigma_hat,
+    fit = transfer.fit_decay(series, seed=seed, n_boot=prm["n_boot"])
+    _check(checks, "decay_positive", fit.sigma_hat,
            f"k_hat={fit.k_hat:.3e} n_used={fit.n_used}", passes=operator.gt)
-    _check(checks, cfg, "decay_ci", fit.ci_low,
+    _check(checks, "decay_ci", fit.ci_low,
            f"ci=({fit.ci_low:.4f},{fit.ci_high:.4f})", passes=operator.gt)
     # "control" stays false until a non-mixing control run exists
     writer.write_json("decay_fit.json", {
@@ -729,11 +631,10 @@ def _run_correlate(flow, prm, seed, cfg, writer, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_resolvent(flow, prm, seed, cfg, writer, checks):
-    params = transfer.ResolventParams(a=prm["a"], b=prm["b"],
-                                      nodes_per_unit=prm["nodes_per_unit"],
-                                      tolerance=prm["tolerance"])
-    bump = _bump_from_spec(prm["psi"], "psi")
+def _run_resolvent(flow, prm, seed, writer, checks):
+    params = transfer.ResolventParams(a=2.0, b=3.0, nodes_per_unit=128,
+                                      tolerance=1e-4)
+    bump = transfer.flow_box_bump((0.3, 0.4, 0.5), (0.2, 0.2, 0.3), name="psi")
     pts = flow.sample_invariant(seed, prm["n_points"])
 
     def resolvent(psi, rp, n, count):
@@ -742,7 +643,7 @@ def _run_resolvent(flow, prm, seed, cfg, writer, checks):
     one = transfer.constant_observable(1.0)
     rv = resolvent(one, params, 1, 20)
     worst_const = max([0.0, *transfer.cabs(rv.value - 1.0 / params.z)])
-    _check(checks, cfg, "constant_identity", worst_const,
+    _check(checks, "constant_identity", worst_const,
            "R(z)1 vs 1/z on 20 points")
 
     # R(z)(z psi + d_z psi) = psi: the generator acts as -d/dz inside a box
@@ -753,32 +654,33 @@ def _run_resolvent(flow, prm, seed, cfg, writer, checks):
              "value_re": v.real, "value_im": v.imag, "error_budget": e}
             for i, (v, e) in enumerate(zip(rv.value, rv.error_budget))]
     transfer.write_resolvent_csv(writer.path("resolvent_points.csv"), rows)
-    _check(checks, cfg, "generator_identity", worst_gen,
+    _check(checks, "generator_identity", worst_gen,
            f"{prm['n_points']} bump points")
 
-    inner = transfer.ResolventParams(a=prm["a"], b=prm["b"],
+    inner = transfer.ResolventParams(a=params.a, b=params.b,
                                      nodes_per_unit=32, tolerance=5e-3)
-    outer = transfer.ResolventParams(a=prm["a"], b=prm["b"],
+    outer = transfer.ResolventParams(a=params.a, b=params.b,
                                      nodes_per_unit=16, t_max=6.0,
                                      tolerance=1e-2)
     inner_obs = transfer.resolvent_observable(flow, bump, inner, 1)
     nested = resolvent(inner_obs, outer, 1, prm["n_nested"]).value
     closed = resolvent(bump, params, 2, prm["n_nested"]).value
     worst_nested = max([0.0, *transfer.cabs(nested - closed)])
-    _check(checks, cfg, "nested_agreement", worst_nested,
+    _check(checks, "nested_agreement", worst_nested,
            f"{prm['n_nested']} points, n=2")
 
+    powers = [1, 2, 3]
     worst_excess = -math.inf
-    for n in prm["powers"]:
-        bound = bump.sup_norm / prm["a"] ** n
+    for n in powers:
+        bound = bump.sup_norm / params.a ** n
         v = resolvent(bump, params, n, 10).value
         worst_excess = max([worst_excess, *(transfer.cabs(v) - bound)])
-    _check(checks, cfg, "modulus_bound", worst_excess,
-           f"|R^n psi| - a^-n sup, powers {prm['powers']}")
+    _check(checks, "modulus_bound", worst_excess,
+           f"|R^n psi| - a^-n sup, powers {powers}")
 
     writer.write_json("resolvent_report.json", {
-        "a": prm["a"], "b": prm["b"],
-        "nodes_per_unit": prm["nodes_per_unit"],
+        "a": params.a, "b": params.b,
+        "nodes_per_unit": params.nodes_per_unit,
         "constant_identity": worst_const,
         "generator_identity": worst_gen,
         "nested_agreement": worst_nested,
@@ -791,18 +693,19 @@ def _run_resolvent(flow, prm, seed, cfg, writer, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_ulam(flow, prm, seed, cfg, writer, checks):
-    model = transfer.ulam_build(flow, prm["t"], (prm["nx"], prm["ny"], prm["nz"]),
+def _run_ulam(flow, prm, seed, writer, checks):
+    t = 5.0
+    model = transfer.ulam_build(flow, t, (prm["nx"], prm["ny"], prm["nz"]),
                                 prm["samples_per_cell"], seed)
-    _check(checks, cfg, "ulam_leading", abs(model.leading - 1.0))
-    _check(checks, cfg, "ulam_second", model.second_modulus, passes=operator.lt)
+    _check(checks, "ulam_leading", abs(model.leading - 1.0))
+    _check(checks, "ulam_second", model.second_modulus, passes=operator.lt)
     resid = model.stationary_residual()
-    _check(checks, cfg, "ulam_residual", resid,
+    _check(checks, "ulam_residual", resid,
            "l1 residual of the cell-volume vector")
 
     report = {
         "partition": [prm["nx"], prm["ny"], prm["nz"]],
-        "t": prm["t"], "samples_per_cell": prm["samples_per_cell"],
+        "t": t, "samples_per_cell": prm["samples_per_cell"],
         "n_states": model.n_states, "leading": model.leading,
         "second_modulus": model.second_modulus,
         "stationary_residual": resid,
@@ -810,18 +713,18 @@ def _run_ulam(flow, prm, seed, cfg, writer, checks):
     }
     if prm["refine"]:
         fine = transfer.ulam_build(
-            flow, prm["t"], (2 * prm["nx"], 2 * prm["ny"], 2 * prm["nz"]),
+            flow, t, (2 * prm["nx"], 2 * prm["ny"], 2 * prm["nz"]),
             prm["samples_per_cell"], seed)
         rel = abs(fine.second_modulus - model.second_modulus) / model.second_modulus
-        _check(checks, cfg, "ulam_refine_rel", rel,
+        _check(checks, "ulam_refine_rel", rel,
                f"doubled second modulus {fine.second_modulus:.6f}")
         report["refined_second_modulus"] = fine.second_modulus
         report["refined_n_states"] = fine.n_states
 
     writer.write_json("ulam_report.json", report)
-    eig = sorted(model.eigenvalues, key=lambda v: -abs(v))[:prm["top_k"]]
     writer.write_csv("ulam_spectrum.csv", ["k", "re", "im", "modulus"],
-                     [(k, v.real, v.imag, abs(v)) for k, v in enumerate(eig)])
+                     [(k, v.real, v.imag, abs(v))
+                      for k, v in enumerate(model.eigenvalues)])
 
 
 # ---------------------------------------------------------------------------
@@ -829,47 +732,46 @@ def _run_ulam(flow, prm, seed, cfg, writer, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_dolgopyat(flow, prm, seed, cfg, writer, checks):
-    params = averaging.default_dolgopyat_params(flow, a=prm["a"], m=prm["m"],
-                                                gamma=prm["gamma"])
-    psi = _bump_from_spec(prm["psi"], "psi")
+def _run_dolgopyat(flow, prm, seed, writer, checks):
+    params = averaging.default_dolgopyat_params(flow)
+    psi = transfer.flow_box_bump((0.3, 0.4, 0.5), (0.2, 0.2, 0.3), name="psi")
     one = transfer.constant_observable(1.0)
 
     anchor_w = (0.4, 0.6, 0.5)
     worst_factor = 0.0
     anchor_rows = []
-    for b in prm["anchors"]:
+    for b in (2.0, 8.0, 32.0):
         (val,), (budget,) = averaging.dolgopyat_value(flow, one, params,
                                                       [anchor_w], b)
-        ref = (prm["a"] + 1j * b) ** (-2 * prm["m"])
+        ref = (params.a + 1j * b) ** (-2 * params.m)
         err = abs(val - ref)
         worst_factor = max(worst_factor, err / max(budget, 1e-300))
         anchor_rows.append({"b": b, "error": err, "budget": budget})
-    _check(checks, cfg, "anchor_identity", worst_factor,
+    _check(checks, "anchor_identity", worst_factor,
            "max |value - (a+ib)^-2m| / budget")
 
-    table = averaging.dolgopyat_experiment(flow, psi, params, prm["b_list"],
+    b_list = [8.0, 16.0, 32.0, 64.0, 128.0]
+    table = averaging.dolgopyat_experiment(flow, psi, params, b_list,
                                            eval_points=prm["eval_points"],
                                            seed=seed)
     ratios = [row.ratio for row in table.rows]
     violations = sum(1 for lo, hi in zip(ratios[1:], ratios[:-1]) if lo > hi)
-    _check(checks, cfg, "ratio_monotone", float(violations),
+    _check(checks, "ratio_monotone", float(violations),
            f"ratios {['%.3g' % r for r in ratios]}")
-    _check(checks, cfg, "gamma0_positive", table.gamma0_hat, passes=operator.gt)
+    _check(checks, "gamma0_positive", table.gamma0_hat, passes=operator.gt)
     frac = max(row.error_budget / row.sup_value for row in table.rows)
-    _check(checks, cfg, "budget_fraction", frac, "max row budget / sup value")
+    _check(checks, "budget_fraction", frac, "max row budget / sup value")
+
+    base_table = averaging.dolgopyat_experiment(
+        flow, psi, params, [0.0], eval_points=prm["eval_points"], seed=seed)
+    ratio0 = base_table.rows[0].ratio
+    _check(checks, "baseline_no_decay", ratio0 - ratios[0],
+           f"ratio(0)={ratio0:.4g} vs ratio({b_list[0]:g})={ratios[0]:.4g}",
+           passes=operator.gt)
 
     report = table.to_json_dict()
     report["anchors"] = anchor_rows
-    if prm["baseline"]:
-        base_table = averaging.dolgopyat_experiment(
-            flow, psi, params, [0.0], eval_points=prm["eval_points"],
-            seed=seed)
-        ratio0 = base_table.rows[0].ratio
-        _check(checks, cfg, "baseline_no_decay", ratio0 - ratios[0],
-               f"ratio(0)={ratio0:.4g} vs "
-               f"ratio({prm['b_list'][0]:g})={ratios[0]:.4g}", passes=operator.gt)
-        report["baseline_ratio"] = ratio0
+    report["baseline_ratio"] = ratio0
 
     averaging.write_dolgopyat_csv(writer.path("dolgopyat.csv"), table)
     writer.write_json("dolgopyat_report.json", report)
@@ -880,7 +782,7 @@ def _run_dolgopyat(flow, prm, seed, cfg, writer, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_complexity(flow, prm, seed, cfg, writer, checks):
+def _run_complexity(flow, prm, seed, writer, checks):
     reports = complexity_counts(flow, prm["n_max"])
     rows = [(r.n, r.D_b, r.D_e, r.rate_b, r.rate_e, r.cells_b, r.cells_e)
             for r in reports]
@@ -895,17 +797,17 @@ def _run_complexity(flow, prm, seed, cfg, writer, checks):
                               worst_step, 0.0,
                               "max increase of log(D_b)/n over n >= 2"))
 
-    report = {"rows": [r.to_json_dict() for r in reports]}
-    if prm["control"]:
-        sp = single_piece_map()
-        control_flow = SuspensionFlow(sp, build_roof(sp, flow.tau_minus))
-        ctrl = complexity_counts(control_flow, min(prm["n_max"], 6))
-        flat = all(r.D_b == 1 and r.D_e == 1 for r in ctrl)
-        checks.append(CheckResult("control_single_piece", flat,
-                                  0.0 if flat else 1.0, 0.0,
-                                  "single-piece map has D = 1 at every n"))
-        report["control_rows"] = [r.to_json_dict() for r in ctrl]
-    writer.write_json("complexity_report.json", report)
+    sp = single_piece_map()
+    control_flow = SuspensionFlow(sp, build_roof(sp, flow.tau_minus))
+    ctrl = complexity_counts(control_flow, min(prm["n_max"], 6))
+    flat = all(r.D_b == 1 and r.D_e == 1 for r in ctrl)
+    checks.append(CheckResult("control_single_piece", flat,
+                              0.0 if flat else 1.0, 0.0,
+                              "single-piece map has D = 1 at every n"))
+    writer.write_json("complexity_report.json", {
+        "rows": [r.to_json_dict() for r in reports],
+        "control_rows": [r.to_json_dict() for r in ctrl],
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -913,60 +815,57 @@ def _run_complexity(flow, prm, seed, cfg, writer, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_normcheck(flow, prm, seed, cfg, writer, checks):
+def _run_normcheck(flow, prm, seed, writer, checks):
     rng = spawn_rng(seed, 31)
     n0 = prm["parseval_n"]
     plane = rng.normal(size=(n0, n0)) + 1j * rng.normal(size=(n0, n0))
     line = rng.normal(size=n0) + 1j * rng.normal(size=n0)
-    f = aniso.GridFunction3(plane, line, prm["length"], name="noise")
+    f = aniso.GridFunction3(plane, line, 4.0, name="noise")
     flat = aniso.aniso_norm_p2(f, aniso.AnisoSymbol(0.0, 0.0, 0.0))
     rel = abs(flat - f.l2_norm()) / f.l2_norm()
-    _check(checks, cfg, "parseval", rel, f"random {n0}^2 plane x {n0} line")
+    _check(checks, "parseval", rel, f"random {n0}^2 plane x {n0} line")
 
+    # the symbol exponents (r, s, q) and the weaker pair (r', s')
+    r, s, q, s_prime = 0.3, -0.4, 0.0, -0.5
     dmap = aniso.HyperbolicBlockMap(2.0, 0.5)
-    rep = aniso.check_symbol_inequality(
-        prm["r"], prm["s"], prm["q"], prm["r_prime"], prm["s_prime"], dmap,
-        xi_max=prm["xi_max"], n_per_axis=prm["n_per_axis"])
+    rep = aniso.check_symbol_inequality(r, s, q, prm["r_prime"], s_prime, dmap,
+                                        n_per_axis=prm["n_per_axis"])
     checks.append(CheckResult("symbol_hypotheses", rep.hypothesis_ok,
                               0.0 if rep.hypothesis_ok else 1.0, 0.0,
                               "; ".join(rep.hypothesis_messages)))
-    _check(checks, cfg, "k_drift", rep.rel_change,
+    _check(checks, "k_drift", rep.rel_change,
            f"K1={rep.k1:.6g} K2={rep.k2:.6g}")
     aniso.write_symbol_report_json(writer.path("symbol_report.json"), rep)
 
-    w = aniso.CubeBump(tuple(prm["bump_center"]),
-                       tuple(prm["narrow_halfwidths"]), name="w")
-    rows = aniso.composition_iteration_sweep(
-        w, dmap, prm["r"], prm["s"], prm["q"], k_max=prm["k_max"],
-        n=prm["iter_n"], length=prm["length"])
+    center = (2.0, 2.0, 2.0)
+    w = aniso.CubeBump(center, (0.125, 1.0, 1.0), name="w")
+    rows = aniso.composition_iteration_sweep(w, dmap, r, s, q, n=prm["iter_n"])
     aniso.write_sweep_csv(writer.path("composition_sweep.csv"), rows)
-    _check(checks, cfg, "composition_bound",
+    _check(checks, "composition_bound",
            max(row["ratio"] - row["bound"] for row in rows),
-           f"max ratio - M^k bound over k <= {prm['k_max']}")
+           "max ratio - M^k bound over k <= 4")
 
-    wide = aniso.CubeBump(tuple(prm["bump_center"]),
-                          tuple(prm["bump_halfwidths"]), name="wb")
+    wide = aniso.CubeBump(center, (1.0, 1.0, 1.0), name="wb")
     comp = aniso.check_composition_contraction(
-        wide, dmap, prm["r"], prm["s"], prm["q"], prm["r_prime"],
-        prm["s_prime"], n=prm["grid_n"], length=prm["length"])
+        wide, dmap, r, s, q, prm["r_prime"], s_prime, n=prm["grid_n"])
 
-    half = aniso.HalfSpace("u", prm["mult_threshold"])
-    rm, sm, qm = prm["mult_exponents"]
+    half = aniso.HalfSpace("u", 2.0)
+    rm, sm, qm = 0.3, -0.3, 0.0
     bumps = [wide, aniso.CubeBump((2.3, 1.8, 2.1), (0.8, 1.2, 0.9),
                                   name="wb2")]
     mult = aniso.check_multiplier_charfun(
         half, rm, sm, qm, bumps, ns=tuple(prm["mult_ns"]),
-        length=prm["length"], rel_tol=cfg.tolerance("multiplier_drift"))
-    _check(checks, cfg, "multiplier_drift", mult.max_rel_change,
+        rel_tol=TOLERANCES["multiplier_drift"])
+    _check(checks, "multiplier_drift", mult.max_rel_change,
            f"admissible exponents ({rm}, {sm}, {qm})")
 
+    grow_r = 0.6
     grow = aniso.check_multiplier_charfun(
-        half, prm["grow_r"], sm, qm, [wide], ns=tuple(prm["mult_ns"]),
-        length=prm["length"], enforce=False)
+        half, grow_r, sm, qm, [wide], ns=tuple(prm["mult_ns"]), enforce=False)
     by_n = {row["N"]: row["ratio"] for row in grow.rows}
     ns = sorted(by_n)
-    _check(checks, cfg, "multiplier_growth", by_n[ns[-1]] / by_n[ns[0]] - 1.0,
-           f"r={prm['grow_r']} inadmissible: ratio must grow under refinement",
+    _check(checks, "multiplier_growth", by_n[ns[-1]] / by_n[ns[0]] - 1.0,
+           f"r={grow_r} inadmissible: ratio must grow under refinement",
            passes=operator.gt)
 
     aniso.write_sweep_csv(writer.path("multiplier_sweep.csv"),
@@ -985,34 +884,32 @@ def _run_normcheck(flow, prm, seed, cfg, writer, checks):
 # ---------------------------------------------------------------------------
 
 
-def _run_leafstats(flow, prm, seed, cfg, writer, checks):
-    leaf = averaging.leaf_through(flow, tuple(prm["anchor"]), prm["delta"])
+def _run_leafstats(flow, prm, seed, writer, checks):
+    delta, r = 0.05, 0.002
+    leaf = averaging.leaf_through(flow, (0.3, 0.4, 0.5), delta)
     resid = leaf.kernel_residual()
-    _check(checks, cfg, "kernel_residual", resid,
+    _check(checks, "kernel_residual", resid,
            "contact-kernel defect of the anchor leaf")
 
-    step = prm["step"] if prm["step"] > 0 else None
     stats = averaging.stable_decomposition_stats(
-        flow, prm["delta"], prm["r"], prm["ell_max"], seed=seed, step=step,
-        max_piece_len=prm["max_piece_len"], piece_cap=prm["piece_cap"])
+        flow, delta, r, prm["ell_max"], seed=seed, piece_cap=prm["piece_cap"])
     averaging.write_decomposition_csv(writer.path("leafstats.csv"), stats)
 
     mass0 = stats.rows[0]["boundary_mass_r"]
-    cap = prm["r"] / prm["delta"] + cfg.tolerance("seed_interval_mass")
-    checks.append(CheckResult("seed_interval_mass",
-                              0.0 < mass0 <= cap, mass0,
-                              prm["r"] / prm["delta"],
+    cap = r / delta + TOLERANCES["seed_interval_mass"]
+    checks.append(CheckResult("seed_interval_mass", 0.0 < mass0 <= cap, mass0,
+                              r / delta,
                               "r-boundary mass of the single seed interval"))
 
     incs = stats.log_count_increments()
     tail = incs[len(incs) // 2:]
-    _check(checks, cfg, "growth_log_increment", max(tail) if tail else 0.0,
+    _check(checks, "growth_log_increment", max(tail) if tail else 0.0,
            "max log piece-count increment, late steps")
 
-    cmax = max(row["boundary_mass_r"] / prm["r"] for row in stats.rows)
-    tail_max = max(row["boundary_mass_r"] / prm["r"] for row in stats.rows
+    cmax = max(row["boundary_mass_r"] / r for row in stats.rows)
+    tail_max = max(row["boundary_mass_r"] / r for row in stats.rows
                    if row["ell"] >= prm["ell_max"] // 2)
-    _check(checks, cfg, "boundary_mass_ratio", cmax,
+    _check(checks, "boundary_mass_ratio", cmax,
            f"max over ell of boundary mass / r (late-ell max {tail_max:.3g})")
 
     writer.write_json("leafstats_report.json", {
@@ -1057,12 +954,13 @@ def run(config: ExperimentConfig) -> RunManifest:
     try:
         flow = config.build_flow()
         _RUNNERS[config.experiment](flow, config.parameters, config.seed,
-                                    config, writer, checks)
+                                    writer, checks)
     except ContactFlowError as exc:
         checks.append(CheckResult(f"runtime_{type(exc).__name__}", False,
                                   math.inf, 0.0, str(exc)))
     manifest = RunManifest(
         experiment=config.experiment,
+        config=config.to_json_dict(),
         config_hash=config.config_hash(),
         code_version=__version__,
         wall_time_s=time.perf_counter() - t0,
@@ -1076,19 +974,6 @@ def run(config: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-# wall time of one process at the defaults on a 2-core x86-64 VM (README)
-_RUNTIME_NOTES = {
-    "verify": "about 0.6 s at defaults",
-    "correlate": "about 11 s per 10^6 samples at defaults",
-    "resolvent": "about 2 s at defaults",
-    "ulam": "about 13 s at defaults (refinement doubling included)",
-    "dolgopyat": "about 6 s at defaults",
-    "complexity": "about 7 s at defaults (exact to n = 8)",
-    "normcheck": "about 0.5 s at defaults",
-    "leafstats": "about 0.6 s at defaults",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contactflow",
@@ -1096,8 +981,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "suspension flows.")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"{name} experiment "
-                                      f"({_RUNTIME_NOTES[name]})")
+        p = sub.add_parser(name, help=f"{name} experiment")
         p.add_argument("--config", default=None,
                        help="JSON config file (defaults apply if omitted)")
         p.add_argument("--seed", type=int, default=None,

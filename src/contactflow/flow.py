@@ -652,6 +652,10 @@ def standard_flow(tau_minus: float = 1.0) -> SuspensionFlow:
 # ---------------------------------------------------------------------------
 
 
+# largest shear amplitude of the perturbed family
+EPSILON_MAX = 0.05
+
+
 class PerturbedTorusMap:
     """standard map composed with the shear (x, y) -> (x, y + eps sin 2 pi x).
 
@@ -664,8 +668,8 @@ class PerturbedTorusMap:
     """
 
     def __init__(self, epsilon: float):
-        if not (0.0 <= epsilon <= 0.05):
-            raise ValueError("epsilon in [0, 0.05] required")
+        if not (0.0 <= epsilon <= EPSILON_MAX):
+            raise ValueError(f"epsilon in [0, {EPSILON_MAX}] required")
         self.epsilon = float(epsilon)
         self._labels = [(b, k, m) for b in (1, 2) for k in (0, 1) for m in (-1, 0, 1)]
         self._index = {lab: i for i, lab in enumerate(self._labels)}

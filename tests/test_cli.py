@@ -1,8 +1,10 @@
 """Config parsing, manifests, exit codes, and artifact determinism."""
 
 import ast
+import importlib.util
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,9 +46,9 @@ def test_unknown_parameter_key_is_named_in_error():
 
 
 def test_defaults_resolved_and_round_trip():
-    cfg = ExperimentConfig.from_json_dict({"experiment": "verify"})
-    assert cfg.parameters["n_contact"] == 10000
-    assert cfg.parameters["aperture"] == 0.01
+    cfg = ExperimentConfig.from_json_dict({"experiment": "correlate"})
+    assert cfg.parameters["n_samples"] == 1000000
+    assert cfg.parameters["t_step"] == 0.5
     back = ExperimentConfig.from_json_dict(json.loads(cfg.canonical_json()))
     assert back == cfg
     assert back.canonical_json() == cfg.canonical_json()
@@ -83,6 +85,76 @@ def test_exact_only_experiments_reject_perturbed_flow(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flow,key", [
+    ({"map": "perturbed", "epsilon": 0.1}, "flow.epsilon"),
+    ({"map": "perturbed", "epsilon": -0.01}, "flow.epsilon"),
+    ({"map": "perturbed", "epsilon": float("nan")}, "flow.epsilon"),
+    ({"tau_minus": float("nan")}, "flow.tau_minus"),
+])
+def test_out_of_range_flow_is_config_error(tmp_path, capsys, flow, key):
+    # the perturbed family is defined for 0 <= epsilon <= 0.05 and the roof
+    # floor must be positive; anything else is a config error (exit 2)
+    # before an output directory exists
+    out = tmp_path / "out"
+    path = _config(tmp_path, {"experiment": "resolvent", "out": str(out),
+                              "flow": flow})
+    assert main(["resolvent", "--config", path]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+TESTS = Path(__file__).resolve().parent
+WORKLOADS = TESTS.parent / "perfbench" / "workloads.py"
+
+# (experiment, parameter) -> the test whose config sets it, for parameters no
+# benchmark workload sends.  Any other value is a constant in its runner.
+SET_BY_TESTS = {
+    ("correlate", "n_boot"):
+        "test_acceptance.py::test_numeric_artifacts_identical_across_same_seed_reruns",
+    ("normcheck", "r_prime"):
+        "test_cli.py::test_normcheck_records_violated_symbol_hypotheses",
+    ("normcheck", "n_per_axis"):
+        "test_cli.py::test_normcheck_records_violated_symbol_hypotheses",
+    ("normcheck", "grid_n"):
+        "test_cli.py::test_normcheck_records_violated_symbol_hypotheses",
+    ("normcheck", "parseval_n"):
+        "test_cli.py::test_normcheck_records_violated_symbol_hypotheses",
+    ("normcheck", "mult_ns"):
+        "test_cli.py::test_normcheck_records_violated_symbol_hypotheses",
+    ("leafstats", "ell_max"): "test_cli.py::test_main_leafstats_exit_zero",
+    ("leafstats", "piece_cap"): "test_cli.py::test_domain_error_becomes_failed_check",
+}
+
+
+def _dict_keys_in_test(test_id: str) -> set:
+    """String keys of the dict literals in one test, decorators included."""
+    filename, name = test_id.split("::")
+    tree = ast.parse((TESTS / filename).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return {k.value for d in ast.walk(node) if isinstance(d, ast.Dict)
+                    for k in d.keys if isinstance(k, ast.Constant)}
+    raise AssertionError(f"{test_id}: no such test")
+
+
+def test_every_parameter_has_a_caller():
+    # a parameter that neither a benchmark workload nor a test sets has one
+    # value in use: it belongs in its runner as a constant
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sent = {(exp, key) for wl in workloads.WORKLOADS.values()
+            for exp, params in wl["ops"] for key in params}
+    schema = {(exp, key) for exp, keys in PARAM_SCHEMA.items() for key in keys}
+    assert sorted(schema - sent - set(SET_BY_TESTS)) == []
+    # an allowance for a removed key, or for one a workload sends, is stale
+    assert sorted(set(SET_BY_TESTS) - schema) == []
+    assert sorted(set(SET_BY_TESTS) & sent) == []
+    unset = [(key, test) for (_, key), test in SET_BY_TESTS.items()
+             if key not in _dict_keys_in_test(test)]
+    assert unset == []
+
+
 def test_every_parameter_kind_has_a_user():
     # a kind _validate_param accepts (kind == "x" or kind.startswith("x"))
     # that no schema entry uses is dead validation code
@@ -96,7 +168,7 @@ def test_every_parameter_kind_has_a_user():
               and getattr(node.func.value, "id", None) == "kind"):
             prefix.update(a.value for a in node.args)
     used = {kind for schema in PARAM_SCHEMA.values() for kind, _ in schema.values()}
-    assert "bump" in equal  # the parse sees the branches
+    assert "intlist" in equal  # the parse sees the branches
     assert sorted(equal - used) == []
     assert [p for p in prefix if not any(k.startswith(p) for k in used)] == []
 
@@ -109,9 +181,11 @@ def test_seed_validation():
 
 
 def test_unknown_tolerance_name_rejected():
-    with pytest.raises(ConfigError, match="tolerances.no_such"):
-        ExperimentConfig.from_json_dict({"experiment": "verify",
-                                         "tolerances": {"no_such": 1.0}})
+    # check bounds are declared in cli.TOLERANCES; no config key moves them
+    with pytest.raises(ConfigError, match="tolerances: unknown key"):
+        ExperimentConfig.from_json_dict(
+            {"experiment": "leafstats",
+             "tolerances": {"growth_log_increment": 1.0}})
 
 
 def test_missing_config_file_is_config_error(tmp_path):
@@ -160,6 +234,10 @@ def test_run_writes_manifest_and_artifacts(tmp_path):
     assert on_disk == manifest.to_json_dict()
     assert on_disk["all_passed"] is True
     assert sorted(on_disk["artifacts"]) == on_disk["artifacts"]
+    # the manifest holds the resolved config it hashes
+    back = ExperimentConfig.from_json_dict(on_disk["config"])
+    assert back == cfg
+    assert back.config_hash() == on_disk["config_hash"]
 
 
 def test_main_leafstats_exit_zero(tmp_path, capsys):
@@ -171,14 +249,17 @@ def test_main_leafstats_exit_zero(tmp_path, capsys):
 
 
 def test_impossible_tolerance_fails_run(tmp_path, capsys):
+    # a piece cap of 2 cannot hold the decomposition: exit 1, and the
+    # manifest names the failed check
     path = _config(tmp_path, {"experiment": "leafstats",
-                              "parameters": {"ell_max": 4},
-                              "out": str(tmp_path / "out"),
-                              "tolerances": {"kernel_residual": -1.0}})
+                              "parameters": {"ell_max": 20, "piece_cap": 2},
+                              "out": str(tmp_path / "out")})
     assert main(["leafstats", "--config", path]) == 1
+    assert "[FAIL] runtime_PieceExplosion" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     failed = [c for c in manifest["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["kernel_residual"]
+    assert [c["name"] for c in failed] == ["runtime_PieceExplosion"]
+    assert manifest["all_passed"] is False
 
 
 def test_domain_error_becomes_failed_check(tmp_path):
