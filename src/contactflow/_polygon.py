@@ -1,196 +1,195 @@
-"""Exact rational geometry for convex polygons on the unit-square lift.
+"""Exact convex-polygon geometry in integer homogeneous coordinates.
 
-Everything here works over fractions.Fraction so that piece partitions,
-arrangement refinements and closure-incidence counts are exact.  Floats are
-converted through Fraction(float), which is lossless for binary doubles.
+A vertex is a tuple (X, Y, W) of ints with W > 0 and gcd(X, Y, W) = 1, the
+point (X / W, Y / W).  That form is unique, so equal points compare and hash
+equal, and a vertex taken mod 1 keys as (X mod W, Y mod W, W).  A line is an
+int triple (A, B, C), the set A X + B Y + C W = 0, and the side of a vertex
+is the sign of that form.  The line through p and q is their cross product,
+positive on the left of p -> q.  Every predicate is then one integer sign,
+with none of the per-operation gcd of fractions.Fraction (Yap, "Towards
+exact geometric computation", CGTA 7, 1997).  Fraction appears only in what
+the roof keeps: its coefficients, extrema and integral.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-Point = tuple[Fraction, Fraction]
-Polygon = list[Point]
+Vertex = tuple[int, int, int]
+Polygon = list[Vertex]
+Line = tuple[int, int, int]
+# rows (a, b, c), (d, e, f) over den: (x, y) -> ((a x + b y + c) / den, (d x + e y + f) / den)
+Affine = tuple[tuple[int, int, int], tuple[int, int, int], int]
 
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def frac_point(p) -> Point:
-    return (frac(p[0]), frac(p[1]))
+_QUADRATIC_KEYS = ("const", "lx", "ly", "qxx", "qxy", "qyy")
 
 
-def polygon(points: Iterable) -> Polygon:
-    return ensure_ccw([frac_point(p) for p in points])
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Rationals (ints, Fractions or floats, exactly) as ints over their
+    least common denominator."""
+    fr = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in fr))
+    return [v.numerator * (den // v.denominator) for v in fr], den
 
 
-def signed_area2(poly: Sequence[Point]) -> Fraction:
-    """Twice the signed area (positive for counterclockwise)."""
-    s = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return s
+def _normal(x: int, y: int, w: int) -> Vertex:
+    """The vertex (x, y, w) scaled to w > 0 and gcd 1 (w != 0)."""
+    g = math.gcd(x, y, w)
+    if w < 0:
+        g = -g
+    return (x // g, y // g, w // g)
 
 
-def ensure_ccw(poly: Polygon) -> Polygon:
-    if signed_area2(poly) < 0:
-        return poly[::-1]
-    return poly
+def _crossing(p: Vertex, q: Vertex, sp: int, sq: int) -> Vertex:
+    """The point between p and q where a linear form with values sp and sq
+    there (strictly opposite signs) vanishes."""
+    return _normal(sp * q[0] - sq * p[0], sp * q[1] - sq * p[1], sp * q[2] - sq * p[2])
 
 
-def dedupe(poly: Sequence[Point]) -> Polygon:
+def line_through(p: Vertex, q: Vertex) -> Line:
+    """The line through p and q, positive on the left of p -> q."""
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def grid_rect(i: int, j: int, nx: int, ny: int) -> Polygon:
+    """The rectangle [i/nx, (i+1)/nx] x [j/ny, (j+1)/ny], counterclockwise."""
+    w = nx * ny
+    return [_normal(a * ny, b * nx, w) for a, b in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))]
+
+
+def dedupe(poly: Sequence[Vertex]) -> Polygon:
     """Drop repeated and collinear vertices (clipping can produce both)."""
-    pts = [p for i, p in enumerate(poly) if p != poly[(i - 1) % len(poly)]]
+    pts = [p for i, p in enumerate(poly) if p != poly[i - 1]]
     out: Polygon = []
     n = len(pts)
     for i in range(n):
-        a, b, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cross != 0:
-            out.append(b)
+        c = pts[(i + 1) % n]
+        a, b, w = line_through(pts[i - 1], pts[i])
+        if a * c[0] + b * c[1] + w * c[2] != 0:
+            out.append(pts[i])
     return out
 
 
-def clip_halfplane(poly: Sequence[Point], a: Fraction, b: Fraction, c: Fraction) -> Polygon:
-    """Clip to {(x, y): a*x + b*y + c >= 0}.  Subject must be convex CCW."""
+def clip_halfplane(poly: Sequence[Vertex], line: Line) -> Polygon:
+    """Clip to the closed side A X + B Y + C W >= 0.  Subject must be convex CCW."""
     out: Polygon = []
     n = len(poly)
     if n == 0:
         return out
-    vals = [a * p[0] + b * p[1] + c for p in poly]
+    a, b, c = line
+    vals = [a * x + b * y + c * w for x, y, w in poly]
     for i in range(n):
         p, vp = poly[i], vals[i]
         q, vq = poly[(i + 1) % n], vals[(i + 1) % n]
         if vp >= 0:
             out.append(p)
         if (vp > 0 > vq) or (vp < 0 < vq):
-            t = vp / (vp - vq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            out.append(_crossing(p, q, vp, vq))
     return dedupe(out)
 
 
-def clip_convex(subject: Sequence[Point], clipper: Sequence[Point]) -> Polygon:
-    """Exact intersection of two convex CCW polygons (Sutherland-Hodgman)."""
-    out = list(subject)
+def clip_convex(subject: Sequence[Vertex], clipper: Sequence[Vertex]) -> Polygon:
+    """Exact intersection of two convex CCW polygons (Sutherland-Hodgman).
+
+    The subject's vertex signs against the clipper's edge lines settle two
+    cases without clipping: every vertex on the closed outer side of one
+    edge leaves no area, and every vertex inside all of them leaves the
+    subject whole.
+    """
+    if not subject:
+        return []
     n = len(clipper)
-    for i in range(n):
+    lines = [line_through(clipper[i], clipper[(i + 1) % n]) for i in range(n)]
+    sides = [[a * x + b * y + c * w for x, y, w in subject] for a, b, c in lines]
+    if any(max(s) <= 0 for s in sides):
+        return []
+    if all(min(s) >= 0 for s in sides):
+        return dedupe(subject)
+    out = list(subject)
+    for line in lines:
+        out = clip_halfplane(out, line)
         if not out:
             return []
-        x0, y0 = clipper[i]
-        x1, y1 = clipper[(i + 1) % n]
-        # inside of edge (x0,y0)->(x1,y1) for a CCW clipper
-        a, b = y0 - y1, x1 - x0
-        c = -(a * x0 + b * y0)
-        out = clip_halfplane(out, a, b, c)
     return out
 
 
-def affine_image(poly: Sequence[Point], m, offset) -> Polygon:
-    m00, m01 = frac(m[0][0]), frac(m[0][1])
-    m10, m11 = frac(m[1][0]), frac(m[1][1])
-    ox, oy = frac(offset[0]), frac(offset[1])
-    return ensure_ccw(
-        [(m00 * x + m01 * y + ox, m10 * x + m11 * y + oy) for x, y in poly]
-    )
+def affine(matrix, offset) -> Affine:
+    """The rational map v -> matrix v + offset over one common denominator."""
+    (m00, m01), (m10, m11) = matrix
+    (a, b, c, d, e, f), den = over_common_denominator((m00, m01, offset[0], m10, m11, offset[1]))
+    return (a, b, c), (d, e, f), den
 
 
-def point_in_closed(poly: Sequence[Point], p: Point) -> bool:
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)
-        if cross < 0:
+def affine_image(poly: Sequence[Vertex], aff: Affine) -> Polygon:
+    """Image of a CCW polygon, kept CCW (reversed when the map flips orientation)."""
+    (a, b, c), (d, e, f), den = aff
+    img = [_normal(a * x + b * y + c * w, d * x + e * y + f * w, den * w) for x, y, w in poly]
+    return img if a * e - b * d > 0 else img[::-1]
+
+
+def point_in_closed(poly: Sequence[Vertex], p: Vertex) -> bool:
+    x, y, w = p
+    for i in range(len(poly)):
+        a, b, c = line_through(poly[i - 1], poly[i])
+        if a * x + b * y + c * w < 0:
             return False
     return True
 
 
-def polygon_moments(poly: Sequence[Point]) -> dict[str, Fraction]:
-    """Exact integrals of 1, x, y, x^2, xy, y^2 over a CCW polygon."""
-    one = x = y = xx = xy = yy = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
+def integrate_quadratic(coeffs, poly: Sequence[Vertex]) -> Fraction:
+    """Integrate c + lx*x + ly*y + qxx*x^2 + qxy*x*y + qyy*y^2 exactly over a
+    CCW polygon, from the edge sums of the moments of 1, x, y, x^2, xy, y^2."""
+    pts = [(Fraction(x, w), Fraction(y, w)) for x, y, w in poly]
+    m = [Fraction(0)] * 6
+    for i in range(len(pts)):
+        (x0, y0), (x1, y1) = pts[i - 1], pts[i]
         c = x0 * y1 - x1 * y0
-        one += c
-        x += (x0 + x1) * c
-        y += (y0 + y1) * c
-        xx += (x0 * x0 + x0 * x1 + x1 * x1) * c
-        yy += (y0 * y0 + y0 * y1 + y1 * y1) * c
-        xy += (2 * x0 * y0 + x0 * y1 + x1 * y0 + 2 * x1 * y1) * c
-    return {
-        "1": one / 2,
-        "x": x / 6,
-        "y": y / 6,
-        "xx": xx / 12,
-        "xy": xy / 24,
-        "yy": yy / 12,
-    }
+        m[0] += c
+        m[1] += (x0 + x1) * c
+        m[2] += (y0 + y1) * c
+        m[3] += (x0 * x0 + x0 * x1 + x1 * x1) * c
+        m[4] += (2 * x0 * y0 + x0 * y1 + x1 * y0 + 2 * x1 * y1) * c
+        m[5] += (y0 * y0 + y0 * y1 + y1 * y1) * c
+    scale = (2, 6, 6, 12, 24, 12)
+    return sum(Fraction(coeffs.get(k, 0)) * v / s for k, v, s in zip(_QUADRATIC_KEYS, m, scale))
 
 
-def integrate_quadratic(coeffs: dict[str, Fraction], poly: Sequence[Point]) -> Fraction:
-    """Integrate c + lx*x + ly*y + qxx*x^2 + qxy*x*y + qyy*y^2 exactly."""
-    m = polygon_moments(poly)
-    return (
-        frac(coeffs.get("const", 0)) * m["1"]
-        + frac(coeffs.get("lx", 0)) * m["x"]
-        + frac(coeffs.get("ly", 0)) * m["y"]
-        + frac(coeffs.get("qxx", 0)) * m["xx"]
-        + frac(coeffs.get("qxy", 0)) * m["xy"]
-        + frac(coeffs.get("qyy", 0)) * m["yy"]
-    )
+def quadratic_extrema_over_polygon(coeffs, poly: Sequence[Vertex]) -> tuple[Fraction, Fraction]:
+    """Exact (min, max) of a quadratic over a convex CCW polygon.
 
-
-def _eval_quadratic(coeffs, x: Fraction, y: Fraction) -> Fraction:
-    return (
-        frac(coeffs.get("const", 0))
-        + frac(coeffs.get("lx", 0)) * x
-        + frac(coeffs.get("ly", 0)) * y
-        + frac(coeffs.get("qxx", 0)) * x * x
-        + frac(coeffs.get("qxy", 0)) * x * y
-        + frac(coeffs.get("qyy", 0)) * y * y
-    )
-
-
-def quadratic_extrema_over_polygon(coeffs, poly: Sequence[Point]):
-    """Exact (min, argmin, max, argmax) of a quadratic over a convex polygon.
-
-    Candidates: vertices, one-dimensional critical points on each edge, and
+    Candidates: vertices, the critical point strictly inside each edge, and
     the interior critical point when the Hessian is invertible.  This covers
     every quadratic (the restriction to a face has its extremum at a critical
-    point of that face or on its boundary).
+    point of that face or on its boundary).  With the coefficients as ints
+    over den, a vertex (X, Y, W) has value N / (den W^2) for an integer
+    quadratic form N, so candidates compare by cross-multiplying.
     """
-    qxx, qxy, qyy = (frac(coeffs.get(k, 0)) for k in ("qxx", "qxy", "qyy"))
-    lx, ly = frac(coeffs.get("lx", 0)), frac(coeffs.get("ly", 0))
-    candidates: list[Point] = list(poly)
+    ints, den = over_common_denominator(coeffs.get(key, 0) for key in _QUADRATIC_KEYS)
+    k, lx, ly, qxx, qxy, qyy = ints
+    candidates = list(poly)
     n = len(poly)
     for i in range(n):
         p, q = poly[i], poly[(i + 1) % n]
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        # g(t) = f(p + t d): quadratic coefficient and linear coefficient in t
-        a2 = qxx * dx * dx + qxy * dx * dy + qyy * dy * dy
-        a1 = (2 * qxx * p[0] + qxy * p[1] + lx) * dx + (2 * qyy * p[1] + qxy * p[0] + ly) * dy
-        if a2 != 0:
-            t = -a1 / (2 * a2)
-            if 0 < t < 1:
-                candidates.append((p[0] + t * dx, p[1] + t * dy))
+        dx, dy = q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]
+        # the gradient along the edge is a linear form; it changes sign
+        # strictly between p and q exactly when the edge has a critical point
+        a, b, c = 2 * qxx * dx + qxy * dy, qxy * dx + 2 * qyy * dy, lx * dx + ly * dy
+        sp = a * p[0] + b * p[1] + c * p[2]
+        sq = a * q[0] + b * q[1] + c * q[2]
+        if (sp > 0 > sq) or (sp < 0 < sq):
+            candidates.append(_crossing(p, q, sp, sq))
     det = 4 * qxx * qyy - qxy * qxy
     if det != 0:
-        cx = (-2 * qyy * lx + qxy * ly) / det
-        cy = (-2 * qxx * ly + qxy * lx) / det
-        if point_in_closed(poly, (cx, cy)):
-            candidates.append((cx, cy))
-    values = [(_eval_quadratic(coeffs, px, py), (px, py)) for px, py in candidates]
-    vmin, amin = min(values, key=lambda t: t[0])
-    vmax, amax = max(values, key=lambda t: t[0])
-    return vmin, amin, vmax, amax
-
-
-def rect_polygon(x0, x1, y0, y1) -> Polygon:
-    return polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+        centre = _normal(qxy * ly - 2 * qyy * lx, qxy * lx - 2 * qxx * ly, det)
+        if point_in_closed(poly, centre):
+            candidates.append(centre)
+    lo = hi = None
+    for x, y, w in candidates:
+        v = (k * w * w + lx * x * w + ly * y * w + qxx * x * x + qxy * x * y + qyy * y * y, w * w)
+        if lo is None or v[0] * lo[1] < lo[0] * v[1]:
+            lo = v
+        if hi is None or v[0] * hi[1] > hi[0] * v[1]:
+            hi = v
+    return Fraction(lo[0], den * lo[1]), Fraction(hi[0], den * hi[1])

@@ -17,7 +17,9 @@ the full key path)::
     }
 
 ``epsilon`` lies in [0, 0.05] and must be 0 for ``f0``.  The parameters
-each experiment accepts:
+each experiment accepts (``PARAM_RANGES`` bounds ``n_max`` to [3, 12],
+``nx``, ``ny`` and ``nz`` to at least 1 and ``samples_per_cell`` to at
+least 100):
 
     verify      none
     correlate   t_max, t_step, n_samples, n_boot
@@ -128,6 +130,16 @@ PARAM_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "ell_max": ("int", 40),
         "piece_cap": ("int", 1000000),
     },
+}
+
+# Inclusive (lo, hi) bounds of the parameters that have them, hi None for
+# none: complexity compares at least two rates and refines at most 12 levels
+# (complexity_counts), and ulam_build needs a cell per axis and at least 100
+# samples a cell.
+PARAM_RANGES: dict[str, dict[str, tuple[int, int | None]]] = {
+    "ulam": {"nx": (1, None), "ny": (1, None), "nz": (1, None),
+             "samples_per_cell": (100, None)},
+    "complexity": {"n_max": (3, 12)},
 }
 
 # Check name -> tolerance.  A bound changes only by a code change recorded
@@ -263,6 +275,10 @@ class ExperimentConfig:
         for key in pdata:
             if key not in schema:
                 raise ConfigError(f"parameters.{key}: unknown key")
+        for key, (lo, hi) in PARAM_RANGES.get(exp, {}).items():
+            if params[key] < lo or (hi is not None and params[key] > hi):
+                bound = f"lie in [{lo}, {hi}]" if hi is not None else f"be at least {lo}"
+                raise ConfigError(f"parameters.{key}: must {bound}")
 
         seed = data.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):

@@ -76,10 +76,11 @@ class Piece:
     @cached_property
     def polygon(self) -> pg.Polygon:
         """Closure of the domain, clipped exactly from the unit square."""
-        poly = pg.rect_polygon(0, 1, 0, 1)
+        poly = pg.grid_rect(0, 0, 1, 1)
         for a, b, op, c in self.halfplanes:
             s = 1 if op[0] == ">" else -1
-            poly = pg.clip_halfplane(poly, s * a, s * b, -s * c)
+            line, _ = pg.over_common_denominator((s * a, s * b, -s * c))
+            poly = pg.clip_halfplane(poly, tuple(line))
         return poly
 
     @cached_property
@@ -107,7 +108,7 @@ class PiecewiseAffineTorusMap:
                     f"piece {p.name} has |det| = {p.det()} != 1; map is not symplectic"
                 )
         self.image_polygons = [
-            pg.affine_image(p.polygon, p.matrix, p.offset) for p in self.pieces
+            pg.affine_image(p.polygon, pg.affine(p.matrix, p.offset)) for p in self.pieces
         ]
         self._mats = np.array([p.matrix for p in self.pieces], dtype=float)
         self._offs = np.array([p.offset for p in self.pieces], dtype=float)
@@ -213,7 +214,7 @@ class PiecewiseAffineTorusMap:
             poly = p.polygon
             for i in range(len(poly)):
                 a, b = poly[i], poly[(i + 1) % len(poly)]
-                segs.append([float(a[0]), float(a[1]), float(b[0]), float(b[1])])
+                segs.append([a[0] / a[2], a[1] / a[2], b[0] / b[2], b[1] / b[2]])
         return np.array(segs)
 
     def map_discontinuity_segments(self) -> list[tuple[tuple[float, float], tuple[float, float], str]]:
@@ -353,7 +354,7 @@ def build_roof(base: PiecewiseAffineTorusMap, tau_minus: float) -> RoofFunction:
         # group normalization: const so that min over the group domain is tau_minus
         gmin = None
         for i in idxs:
-            vmin, _, _, _ = pg.quadratic_extrema_over_polygon(base_quad, base.pieces[i].polygon)
+            vmin, _ = pg.quadratic_extrema_over_polygon(base_quad, base.pieces[i].polygon)
             gmin = vmin if gmin is None else min(gmin, vmin)
         base_quad["const"] = tm - gmin
         for i in idxs:
@@ -368,7 +369,7 @@ def build_roof(base: PiecewiseAffineTorusMap, tau_minus: float) -> RoofFunction:
     infs, maxs = [], []
     volume = Fraction(0)
     for i, p in enumerate(base.pieces):
-        vmin, _, vmax, _ = pg.quadratic_extrema_over_polygon(coeffs[i], p.polygon)
+        vmin, vmax = pg.quadratic_extrema_over_polygon(coeffs[i], p.polygon)
         if vmin < tm:
             raise ClosednessViolation(
                 f"piece {p.name}: normalized roof dips to {vmin} < tau_minus {tm}"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -317,17 +316,17 @@ class ComplexityReport:
 
 def _refine_level(cells: list[pg.Polygon], branches) -> list[pg.Polygon]:
     """Split each cell by the branches' clip polygons and pull every part
-    back through its branch's affine map (matrix, offset).
+    back through its branch's affine map.
 
     clip_convex drops repeated and collinear vertices, so a part with three
     or more vertices has positive exact area and is kept, however small.
     """
     out = []
     for q in cells:
-        for clip, mat, off in branches:
+        for clip, aff in branches:
             r = pg.clip_convex(q, clip)
             if len(r) >= 3:
-                out.append(pg.affine_image(r, mat, off))
+                out.append(pg.affine_image(r, aff))
     return out
 
 
@@ -345,20 +344,21 @@ def _max_incidence(cells: list[pg.Polygon]) -> int:
     """
     if not cells:
         return 0
-    incid: dict[tuple[Fraction, Fraction], set[int]] = {}
+    incid: dict[pg.Vertex, set[int]] = {}
     for ci, c in enumerate(cells):
-        for x, y in c:
-            incid.setdefault((x % 1, y % 1), set()).add(ci)
+        for x, y, w in c:
+            incid.setdefault((x % w, y % w, w), set()).add(ci)
     # representatives of every key in [0,1]^2: a coordinate 0 is also 1
     reps, owner = [], []
     for key in incid:
-        for px in (key[0], 1) if key[0] == 0 else (key[0],):
-            for py in (key[1], 1) if key[1] == 0 else (key[1],):
-                reps.append((px, py))
+        x, y, w = key
+        for px in (x, w) if x == 0 else (x,):
+            for py in (y, w) if y == 0 else (y,):
+                reps.append((px, py, w))
                 owner.append(key)
-    rf = np.array(reps, dtype=float)
+    rf = np.array([(x / w, y / w) for x, y, w in reps])
     for ci, c in enumerate(cells):
-        cf = np.array(c, dtype=float)
+        cf = np.array([(x / w, y / w) for x, y, w in c])
         lo, hi = cf.min(axis=0) - 1e-9, cf.max(axis=0) + 1e-9
         cand = np.flatnonzero(np.all((rf >= lo) & (rf <= hi), axis=1))
         q = rf[cand]
@@ -371,19 +371,23 @@ def _max_incidence(cells: list[pg.Polygon]) -> int:
     return max(len(s) for s in incid.values())
 
 
-def _complexity_exact(base_map, n_max: int) -> list[ComplexityReport]:
+def _refinements(base_map, n_max: int):
+    """The b and e cells of levels 1..n_max: the forward-image cells come
+    from the backward refinement by the inverse branches and vice versa."""
     pieces, images = base_map.pieces, base_map.image_polygons
-    fwd = [(img, *p.inverse) for p, img in zip(pieces, images)]
-    # backward refinement of the inverse map gives the forward-image cells
-    bwd = [(p.polygon, p.matrix, p.offset) for p in pieces]
-
-    cells_b = [p.polygon for p in pieces]
-    cells_e = list(images)
-    reports = []
+    fwd = [(img, pg.affine(*p.inverse)) for p, img in zip(pieces, images)]
+    bwd = [(p.polygon, pg.affine(p.matrix, p.offset)) for p in pieces]
+    cells_b, cells_e = [p.polygon for p in pieces], list(images)
     for n in range(1, n_max + 1):
         if n > 1:
             cells_b = _refine_level(cells_b, fwd)
             cells_e = _refine_level(cells_e, bwd)
+        yield cells_b, cells_e
+
+
+def _complexity_exact(base_map, n_max: int) -> list[ComplexityReport]:
+    reports = []
+    for n, (cells_b, cells_e) in enumerate(_refinements(base_map, n_max), start=1):
         db = _max_incidence(cells_b)
         de = _max_incidence(cells_e)
         reports.append(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -398,49 +397,27 @@ class UlamModel:
         return float(np.abs(v @ self.matrix - v).sum())
 
 
-def _rect_classes(piece, nx: int, ny: int) -> np.ndarray:
-    """How each rectangle of the nx x ny grid on [0, 1]^2 meets the piece's
-    closed domain, from exact corner signs against its half-planes: 1 when
-    the rectangle lies inside it, -1 when they share no area (clipping
-    leaves fewer than 3 vertices), 0 when an edge straddles it."""
-    i = np.arange(nx + 1)[:, None]
-    j = np.arange(ny + 1)[None, :]
-    inside = np.ones((nx, ny), dtype=bool)
-    outside = np.zeros((nx, ny), dtype=bool)
-    for a, b, op, c in piece.halfplanes:
-        # s * (a x + b y - c) at the node (i / nx, j / ny), scaled to integers
-        s = (1 if op[0] == ">" else -1) * math.lcm(a.denominator, b.denominator, c.denominator)
-        g = int(s * a * ny) * i + int(s * b * nx) * j - int(s * c * nx * ny)
-        corners = np.stack([g[:-1, :-1], g[1:, :-1], g[:-1, 1:], g[1:, 1:]])
-        outside |= corners.max(axis=0) <= 0
-        inside &= corners.min(axis=0) >= 0
-    return np.where(outside, -1, np.where(inside, 1, 0))
-
-
 def _column_roof_max(flow, nx: int, ny: int) -> np.ndarray:
     """Max of the roof over each (x, y) grid rectangle.
 
     Exact per-piece quadratic extrema when the base map and roof expose
-    rational pieces, clipping only the rectangles that straddle a piece
-    edge; otherwise a dense probe with 2% headroom (cells kept
-    by the headroom but carrying no volume are dropped at sampling time).
+    rational pieces (clip_convex settles a rectangle wholly inside or
+    outside a piece from its corner signs); otherwise a dense probe with 2%
+    headroom (cells kept by the headroom but carrying no volume are dropped
+    at sampling time).
     """
     out = np.empty((nx, ny))
     base, roof = flow.base, flow.roof
     # exact clipping needs rational pieces; perfbench benchmarks both branches
     if hasattr(roof, "coeffs") and hasattr(base, "pieces"):
-        classes = [_rect_classes(p, nx, ny) for p in base.pieces]
         for i in range(nx):
-            x0, x1 = Fraction(i, nx), Fraction(i + 1, nx)
             for j in range(ny):
-                rect = pg.rect_polygon(x0, x1, Fraction(j, ny), Fraction(j + 1, ny))
+                rect = pg.grid_rect(i, j, nx, ny)
                 best = None
-                for cf, piece, cls in zip(roof.coeffs, base.pieces, classes):
-                    if cls[i, j] < 0:
-                        continue
-                    inter = rect if cls[i, j] > 0 else pg.clip_convex(rect, piece.polygon)
+                for cf, piece in zip(roof.coeffs, base.pieces):
+                    inter = pg.clip_convex(rect, piece.polygon)
                     if len(inter) >= 3:
-                        _, _, mx, _ = pg.quadratic_extrema_over_polygon(cf, inter)
+                        _, mx = pg.quadratic_extrema_over_polygon(cf, inter)
                         best = mx if best is None else max(best, mx)
                 out[i, j] = float(best)
         return out

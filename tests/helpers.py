@@ -1,14 +1,23 @@
 """Small shared utilities for the test suite."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from contactflow import RoofFunction, SuspensionFlow, standard_map
-from contactflow import _polygon as pg
 from contactflow._quadrature import gl_interval
 from contactflow._rng import spawn_rng
+
+
+# exact (n, D_b, D_e, cells_b, cells_e) of the standard map at the CLI
+# defaults (n_max = 8)
+COMPLEXITY_ROWS = [
+    (1, 4, 4, 4, 4), (2, 9, 7, 12, 12), (3, 11, 9, 34, 34),
+    (4, 13, 11, 90, 90), (5, 15, 13, 204, 204), (6, 17, 15, 432, 432),
+    (7, 19, 17, 912, 912), (8, 21, 19, 1920, 1920),
+]
 
 
 def wrap_diff(a, b):
@@ -129,18 +138,19 @@ def ulam_sampler_reference(flow, cells, partition, samples_per_cell, seed):
 
 
 def column_roof_max_reference(flow, nx, ny):
-    """Roof max over each grid rectangle with every piece clipped exactly:
-    the reference for the exact branch of transfer._column_roof_max."""
+    """Roof max over each grid rectangle with every piece clipped exactly in
+    Fractions: the reference for the exact branch of transfer._column_roof_max."""
     out = np.empty((nx, ny))
+    pieces = [fraction_polygon(piece.polygon) for piece in flow.base.pieces]
     for i in range(nx):
         for j in range(ny):
-            rect = pg.rect_polygon(Fraction(i, nx), Fraction(i + 1, nx),
-                                   Fraction(j, ny), Fraction(j + 1, ny))
+            rect = rect_polygon(Fraction(i, nx), Fraction(i + 1, nx),
+                                Fraction(j, ny), Fraction(j + 1, ny))
             best = None
-            for cf, piece in zip(flow.roof.coeffs, flow.base.pieces):
-                inter = pg.clip_convex(rect, piece.polygon)
+            for cf, piece in zip(flow.roof.coeffs, pieces):
+                inter = clip_convex(rect, piece)
                 if len(inter) >= 3:
-                    _, _, mx, _ = pg.quadratic_extrema_over_polygon(cf, inter)
+                    _, _, mx, _ = quadratic_extrema_over_polygon(cf, inter)
                     best = mx if best is None else max(best, mx)
             out[i, j] = float(best)
     return out
@@ -170,7 +180,7 @@ def forward_reference(flow, x, y, z, pid, t):
 
 
 def max_incidence_reference(cells):
-    """All-pairs closure incidence: the reference for
+    """All-pairs closure incidence in Fractions: the reference for
     hyperbolicity._max_incidence.
 
     Every cell vertex and each of its 9 integer translates that falls in
@@ -179,6 +189,7 @@ def max_incidence_reference(cells):
     """
     if not cells:
         return 0
+    cells = [fraction_polygon(c) for c in cells]
     vlist = list({(v[0], v[1]) for c in cells for v in c})
     vf = np.array([[float(a), float(b)] for a, b in vlist])
     boxes = np.array([
@@ -197,10 +208,175 @@ def max_incidence_reference(cells):
                 near = ((sub[:, 0] >= b[0] - 1e-9) & (sub[:, 0] <= b[2] + 1e-9)
                         & (sub[:, 1] >= b[1] - 1e-9) & (sub[:, 1] <= b[3] + 1e-9))
                 for vi in cand_idx[near]:
-                    if ci not in incid[vi] and pg.point_in_closed(
+                    if ci not in incid[vi] and point_in_closed(
                             c, (vlist[vi][0] + dx, vlist[vi][1] + dy)):
                         incid[vi].add(ci)
     return max(len(s) for s in incid)
+
+
+# ---------------------------------------------------------------------------
+# Fraction geometry: the reference for contactflow._polygon
+# ---------------------------------------------------------------------------
+#
+# Points are (Fraction, Fraction) pairs and polygons lists of them.  These
+# Fraction versions of the _polygon kernels are the reference that
+# test_polygon.py holds the integer homogeneous ones to: the same vertex
+# cycles and the same extrema.
+
+
+def vertex(x, y):
+    """The homogeneous vertex (X, Y, W) of the rational point (x, y)."""
+    x, y = Fraction(x), Fraction(y)
+    w = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
+
+
+def homogeneous_polygon(points):
+    return [vertex(x, y) for x, y in points]
+
+
+def fraction_polygon(poly):
+    """The Fraction points of a homogeneous polygon."""
+    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in poly]
+
+
+def frac(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def polygon(points):
+    return ensure_ccw([(frac(x), frac(y)) for x, y in points])
+
+
+def signed_area2(poly):
+    """Twice the signed area (positive for counterclockwise)."""
+    s = Fraction(0)
+    n = len(poly)
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        s += x0 * y1 - x1 * y0
+    return s
+
+
+def ensure_ccw(poly):
+    if signed_area2(poly) < 0:
+        return poly[::-1]
+    return poly
+
+
+def rect_polygon(x0, x1, y0, y1):
+    return polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+def dedupe(poly):
+    """Drop repeated and collinear vertices (clipping can produce both)."""
+    pts = [p for i, p in enumerate(poly) if p != poly[(i - 1) % len(poly)]]
+    out = []
+    n = len(pts)
+    for i in range(n):
+        a, b, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
+        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if cross != 0:
+            out.append(b)
+    return out
+
+
+def clip_halfplane(poly, a, b, c):
+    """Clip to {(x, y): a*x + b*y + c >= 0}.  Subject must be convex CCW."""
+    out = []
+    n = len(poly)
+    if n == 0:
+        return out
+    vals = [a * p[0] + b * p[1] + c for p in poly]
+    for i in range(n):
+        p, vp = poly[i], vals[i]
+        q, vq = poly[(i + 1) % n], vals[(i + 1) % n]
+        if vp >= 0:
+            out.append(p)
+        if (vp > 0 > vq) or (vp < 0 < vq):
+            t = vp / (vp - vq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return dedupe(out)
+
+
+def clip_convex(subject, clipper):
+    """Exact intersection of two convex CCW polygons (Sutherland-Hodgman)."""
+    out = list(subject)
+    n = len(clipper)
+    for i in range(n):
+        if not out:
+            return []
+        x0, y0 = clipper[i]
+        x1, y1 = clipper[(i + 1) % n]
+        # inside of edge (x0,y0)->(x1,y1) for a CCW clipper
+        a, b = y0 - y1, x1 - x0
+        c = -(a * x0 + b * y0)
+        out = clip_halfplane(out, a, b, c)
+    return out
+
+
+def affine_image(poly, m, offset):
+    m00, m01 = frac(m[0][0]), frac(m[0][1])
+    m10, m11 = frac(m[1][0]), frac(m[1][1])
+    ox, oy = frac(offset[0]), frac(offset[1])
+    return ensure_ccw(
+        [(m00 * x + m01 * y + ox, m10 * x + m11 * y + oy) for x, y in poly]
+    )
+
+
+def point_in_closed(poly, p):
+    n = len(poly)
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)
+        if cross < 0:
+            return False
+    return True
+
+
+def _eval_quadratic(coeffs, x, y):
+    return (
+        frac(coeffs.get("const", 0))
+        + frac(coeffs.get("lx", 0)) * x
+        + frac(coeffs.get("ly", 0)) * y
+        + frac(coeffs.get("qxx", 0)) * x * x
+        + frac(coeffs.get("qxy", 0)) * x * y
+        + frac(coeffs.get("qyy", 0)) * y * y
+    )
+
+
+def quadratic_extrema_over_polygon(coeffs, poly):
+    """Exact (min, argmin, max, argmax) of a quadratic over a convex polygon.
+
+    Candidates: vertices, one-dimensional critical points on each edge, and
+    the interior critical point when the Hessian is invertible.
+    """
+    qxx, qxy, qyy = (frac(coeffs.get(k, 0)) for k in ("qxx", "qxy", "qyy"))
+    lx, ly = frac(coeffs.get("lx", 0)), frac(coeffs.get("ly", 0))
+    candidates = list(poly)
+    n = len(poly)
+    for i in range(n):
+        p, q = poly[i], poly[(i + 1) % n]
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        # g(t) = f(p + t d): quadratic coefficient and linear coefficient in t
+        a2 = qxx * dx * dx + qxy * dx * dy + qyy * dy * dy
+        a1 = (2 * qxx * p[0] + qxy * p[1] + lx) * dx + (2 * qyy * p[1] + qxy * p[0] + ly) * dy
+        if a2 != 0:
+            t = -a1 / (2 * a2)
+            if 0 < t < 1:
+                candidates.append((p[0] + t * dx, p[1] + t * dy))
+    det = 4 * qxx * qyy - qxy * qxy
+    if det != 0:
+        cx = (-2 * qyy * lx + qxy * ly) / det
+        cy = (-2 * qxx * ly + qxy * lx) / det
+        if point_in_closed(poly, (cx, cy)):
+            candidates.append((cx, cy))
+    values = [(_eval_quadratic(coeffs, px, py), (px, py)) for px, py in candidates]
+    vmin, amin = min(values, key=lambda t: t[0])
+    vmax, amax = max(values, key=lambda t: t[0])
+    return vmin, amin, vmax, amax
 
 
 def dense_grid(f):

@@ -24,7 +24,7 @@ from contactflow import (
     standard_map,
 )
 from contactflow.cli import ExperimentConfig, run
-from helpers import load_strict_json
+from helpers import COMPLEXITY_ROWS, load_strict_json
 
 pytestmark = pytest.mark.acceptance
 
@@ -170,14 +170,6 @@ def test_oscillatory_cancellation_beats_trivial_bound(tmp_path):
     assert by_name["gamma0_positive"] > 0.0
     assert by_name["budget_fraction"] < 0.1
     assert manifest.wall_time_s <= 600.0
-
-
-# exact (n, D_b, D_e, cells_b, cells_e) at the CLI defaults (n_max = 8)
-COMPLEXITY_ROWS = [
-    (1, 4, 4, 4, 4), (2, 9, 7, 12, 12), (3, 11, 9, 34, 34),
-    (4, 13, 11, 90, 90), (5, 15, 13, 204, 204), (6, 17, 15, 432, 432),
-    (7, 19, 17, 912, 912), (8, 21, 19, 1920, 1920),
-]
 
 
 def test_complexity_growth_subexponential_with_control(tmp_path):

@@ -103,6 +103,32 @@ def test_out_of_range_flow_is_config_error(tmp_path, capsys, flow, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment,parameters", [
+    ("complexity", {"n_max": 0}), ("complexity", {"n_max": 2}),
+    ("complexity", {"n_max": 13}), ("ulam", {"nx": 0}), ("ulam", {"ny": -1}),
+    ("ulam", {"nz": 0}), ("ulam", {"samples_per_cell": 50}),
+])
+def test_out_of_range_size_is_config_error(tmp_path, capsys, experiment, parameters):
+    # complexity compares at least two rates and refines at most 12 levels;
+    # an Ulam grid needs a cell per axis and 100 samples a cell.  Outside
+    # that, a run is a config error (exit 2) before an output directory exists
+    out = tmp_path / "out"
+    path = _config(tmp_path, {"experiment": experiment, "out": str(out),
+                              "parameters": parameters})
+    assert main([experiment, "--config", path]) == 2
+    assert f"parameters.{next(iter(parameters))}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,parameters", [
+    ("complexity", {"n_max": 3}), ("complexity", {"n_max": 12}),
+    ("ulam", {"nx": 1, "ny": 1, "nz": 1, "samples_per_cell": 100}),
+])
+def test_size_bounds_are_inclusive(experiment, parameters):
+    cfg = ExperimentConfig.from_json_dict({"experiment": experiment, "parameters": parameters})
+    assert {k: cfg.parameters[k] for k in parameters} == parameters
+
+
 TESTS = Path(__file__).resolve().parent
 WORKLOADS = TESTS.parent / "perfbench" / "workloads.py"
 

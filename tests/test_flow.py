@@ -23,9 +23,12 @@ from contactflow.flow import PerturbedRoof, PerturbedTorusMap
 from helpers import (
     backward_orbit_reference,
     forward_reference,
+    fraction_polygon,
     grid_points,
     interior_points,
     perturbed_roof_reference,
+    signed_area2,
+    vertex,
     wrap_diff,
 )
 
@@ -63,16 +66,16 @@ def test_piece_lookup_matches_piece_polygons():
                "1b": {(h, h), (0, t), (0, 1)},
                "2a": {(1, 0), (1, t), (0, 1)},
                "2b": {(0, 1), (1, t), (1, 1)}}
-    assert {p.name: set(p.polygon) for p in base.pieces} == literal
+    assert {p.name: set(fraction_polygon(p.polygon)) for p in base.pieces} == literal
     for piece in base.pieces:
-        assert pg.signed_area2(piece.polygon) > 0  # counterclockwise
+        assert signed_area2(fraction_polygon(piece.polygon)) > 0  # counterclockwise
     rng = spawn_rng(31, 0)
     x = rng.random(4000)
     y = rng.random(4000)
     pid = base.piece_of_arrays(x, y)
     checked = 0
     for xi, yi, i in zip(x, y, pid):
-        p = (Fraction(xi), Fraction(yi))
+        p = vertex(xi, yi)
         closed = [pg.point_in_closed(piece.polygon, p) for piece in base.pieces]
         if sum(closed) != 1:  # on an edge: two closures share the point
             continue
@@ -94,7 +97,7 @@ def test_piece_lookup_matches_piece_polygons():
                 i = int(base.piece_of_arrays(np.array([float(px)]),
                                              np.array([float(py)]))[0])
                 assert names[i] in want[key], (key, px, py)
-                assert pg.point_in_closed(base.pieces[i].polygon, (px, py))
+                assert pg.point_in_closed(base.pieces[i].polygon, vertex(px, py))
                 seen[key] += 1
     assert min(seen.values()) >= 3
     nx = np.array([np.nan, 0.5, np.nan])

@@ -20,9 +20,16 @@ from contactflow import (
     single_piece_map,
     standard_map,
 )
-from contactflow.hyperbolicity import _max_incidence, _refine_level, _word_products
+from contactflow.hyperbolicity import _max_incidence, _refine_level, _refinements, _word_products
 
-from helpers import max_incidence_reference
+from helpers import (
+    COMPLEXITY_ROWS,
+    fraction_polygon,
+    homogeneous_polygon,
+    max_incidence_reference,
+    polygon,
+    signed_area2,
+)
 
 
 def test_boundary_rays_report_exact_aperture():
@@ -178,11 +185,8 @@ def test_transversality_fails_for_unstable_axis_cone(flow):
 
 
 def test_complexity_counts_exact_small(flow):
-    reports = complexity_counts(flow, 4)
-    assert [r.n for r in reports] == [1, 2, 3, 4]
-    assert [r.D_b for r in reports] == [4, 9, 11, 13]
-    assert [r.D_e for r in reports] == [4, 7, 9, 11]
-    assert [r.cells_b for r in reports] == [4, 12, 34, 90]
+    reports = complexity_counts(flow, 8)
+    assert [(r.n, r.D_b, r.D_e, r.cells_b, r.cells_e) for r in reports] == COMPLEXITY_ROWS
     for r in reports:
         assert r.rate_b == pytest.approx(np.log(r.D_b) / r.n)
         assert r.rate_e == pytest.approx(np.log(r.D_e) / r.n)
@@ -194,7 +198,8 @@ def test_complexity_counts_exact_small(flow):
 def test_complexity_single_piece_control():
     base = single_piece_map()
     control = SuspensionFlow(base, build_roof(base, 1.0))
-    reports = complexity_counts(control, 4)
+    reports = complexity_counts(control, 6)
+    assert [r.n for r in reports] == [1, 2, 3, 4, 5, 6]
     assert all(r.D_b == 1 and r.D_e == 1 for r in reports)
 
 
@@ -202,36 +207,25 @@ def test_refine_level_keeps_cells_of_tiny_exact_area():
     # a triangle of exact area 5e-17 inside the first piece's image is a real
     # cell: refinement pulls it back whole, with its area (det 1)
     base = standard_map()
-    image = base.image_polygons[0]
+    image = fraction_polygon(base.image_polygons[0])
     cx = sum(v[0] for v in image) / len(image)
     cy = sum(v[1] for v in image) / len(image)
     e = Fraction(1, 10 ** 8)
-    tiny = [(cx, cy), (cx + e, cy), (cx, cy + e)]
-    branches = [(img, *p.inverse) for p, img in zip(base.pieces, base.image_polygons)]
+    tiny = homogeneous_polygon([(cx, cy), (cx + e, cy), (cx, cy + e)])
+    branches = [(img, pg.affine(*p.inverse)) for p, img in zip(base.pieces, base.image_polygons)]
     out = _refine_level([tiny], branches)
-    assert out == [pg.affine_image(tiny, *base.pieces[0].inverse)]
-    assert pg.signed_area2(out[0]) == e * e < Fraction(2, 10 ** 14)
-
-
-def _refined_cells(base, n_max):
-    """The b and e cells of levels 1..n_max, as complexity_counts refines them."""
-    fwd = [(img, *p.inverse) for p, img in zip(base.pieces, base.image_polygons)]
-    bwd = [(p.polygon, p.matrix, p.offset) for p in base.pieces]
-    cells_b, cells_e = [p.polygon for p in base.pieces], list(base.image_polygons)
-    for n in range(1, n_max + 1):
-        if n > 1:
-            cells_b, cells_e = _refine_level(cells_b, fwd), _refine_level(cells_e, bwd)
-        yield cells_b, cells_e
+    assert out == [pg.affine_image(tiny, pg.affine(*base.pieces[0].inverse))]
+    assert signed_area2(fraction_polygon(out[0])) == e * e < Fraction(2, 10 ** 14)
 
 
 def test_max_incidence_matches_all_pairs_reference_on_refined_cells():
-    for cells_b, cells_e in _refined_cells(standard_map(), 6):
+    for cells_b, cells_e in _refinements(standard_map(), 6):
         assert _max_incidence(cells_b) == max_incidence_reference(cells_b)
         assert _max_incidence(cells_e) == max_incidence_reference(cells_e)
 
 
 def _poly(*pts):
-    return pg.polygon([(Fraction(x), Fraction(y)) for x, y in pts])
+    return homogeneous_polygon(polygon([(Fraction(x), Fraction(y)) for x, y in pts]))
 
 
 # the right half and five triangles fanned out of (0, 1/2)
@@ -253,7 +247,8 @@ PLANTED = {
     # T-junction found only through the representative x = 1 (and y = 1
     # in the transpose)
     "wrap_t_junction": (WRAP_FAN, 6),
-    "wrap_t_junction_y": ([pg.polygon([(y, x) for x, y in c]) for c in WRAP_FAN], 6),
+    "wrap_t_junction_y": ([_poly(*[(y, x) for x, y in fraction_polygon(c)])
+                           for c in WRAP_FAN], 6),
     # bricks whose vertices sit on x = 0/1 and y = 0/1; (1/3, 1) lies inside
     # the top edge of the top-left brick, a T-junction across the wrap
     "square_sides": ([_poly((0, 0), ("1/3", 0), ("1/3", "1/2"), (0, "1/2")),

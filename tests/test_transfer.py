@@ -291,10 +291,11 @@ def test_ulam_sampler_matches_per_cell_reference(flow, samples_per_cell):
     assert model.volumes.tobytes() == np.array(volumes).tobytes()
 
 
-@pytest.mark.parametrize("nx,ny", [(24, 24), (7, 5), (6, 4)])
+@pytest.mark.parametrize("nx,ny", [(24, 24), (48, 48), (7, 5), (6, 4)])
 def test_column_roof_max_classification_matches_full_clipping(flow, nx, ny):
     # 24 x 24 and 6 x 4 put rectangle corners on piece edges (x + y = 1 and
-    # x + 3y = 2); 7 x 5 has unequal widths
+    # x + 3y = 2); 7 x 5 has unequal widths; 48 x 48 is the grid of ulam's
+    # default refinement
     got = _column_roof_max(flow, nx, ny)
     assert got.tobytes() == column_roof_max_reference(flow, nx, ny).tobytes()
 
