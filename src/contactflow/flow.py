@@ -21,6 +21,7 @@ evolution is exact event stepping (no ODE solver).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +44,11 @@ from .errors import ClosednessViolation, NonFinite, PathDependence, Unnormalized
 # a * x + b * y op c; op declares which side owns the line a * x + b * y = c
 HalfPlane = tuple[Fraction, Fraction, str, Fraction]
 _CMP = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+
+
+def _form(x, y, a: float, b: float):
+    """a * x + b * y, with a unit factor skipped: same bits, one pass fewer."""
+    return (x if a == 1.0 else a * x) + (y if b == 1.0 else b * y)
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,7 @@ class PiecewiseAffineTorusMap:
         self._inv_mats = np.array([p.inverse[0] for p in self.pieces], dtype=float)
         self._halfplanes = [[(float(a), float(b), _CMP[op], float(c)) for a, b, op, c in p.halfplanes]
                             for p in self.pieces]
+        self._lines, self._table, self._code_dtype = self._sign_table()
         self._edges = self._collect_edges()
 
     # -- piece lookup -------------------------------------------------------
@@ -126,17 +133,57 @@ class PiecewiseAffineTorusMap:
         (x, y)."""
         ok = True
         for a, b, cmp, c in self._halfplanes[i]:
-            if (a, b) not in forms:  # a unit factor is skipped: same bits, one pass fewer
-                forms[a, b] = (x if a == 1.0 else a * x) + (y if b == 1.0 else b * y)
+            if (a, b) not in forms:
+                forms[a, b] = _form(x, y, a, b)
             ok = ok & cmp(forms[a, b], c)
         return ok
 
-    def piece_of_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        pid = np.full(np.shape(x), -1, dtype=np.int64)
+    def _sign_table(self):
+        """The lookup's lines, grouped by form, and its table from sign
+        codes to piece ids.
+
+        Each distinct line (a, b, c) of the half-planes adds the digit
+        (f <= c) + 2 (f >= c) of f = a x + b y to a point's base-4 code: 1
+        below the line, 2 above, 3 on it and 0 at a NaN.  The table has 4^L
+        entries for L lines (64 on the standard map); entry k holds the
+        first piece whose half-planes all hold on the signs that code k
+        records, or -1.  A NaN satisfies no half-plane, so only a piece
+        without half-planes claims it.  Returns [(a, b, [(c, w, 2 w), ...])]
+        with each line's digit weight w in the smallest dtype that holds
+        every code, the table and that dtype.
+        """
+        lines = list(dict.fromkeys((a, b, c) for hps in self._halfplanes for a, b, _, c in hps))
+        # a value of f - c with each digit's signs: NaN, below, above, on
+        signed = (math.nan, -1.0, 1.0, 0.0)
+        weights = [4 ** (len(lines) - 1 - l) for l in range(len(lines))]
+        table = [-1] * 4 ** len(lines)
+        for i, hps in enumerate(self._halfplanes):
+            accept = [set(range(4)) for _ in lines]  # the digits piece i allows, by line
+            for a, b, cmp, c in hps:
+                accept[lines.index((a, b, c))] &= {d for d in range(4) if cmp(signed[d], 0.0)}
+            for digits in itertools.product(*accept):
+                k = sum(d * w for d, w in zip(digits, weights))
+                if table[k] < 0:
+                    table[k] = i
+        table = np.array(table, dtype=np.int64)
+        dtype = np.min_scalar_type(table.size - 1)
         forms: dict = {}
-        for i in range(len(self.pieces)):
-            pid[(pid < 0) & self._in_piece(i, x, y, forms)] = i
-        return pid
+        for (a, b, c), w in zip(lines, weights):
+            forms.setdefault((a, b), []).append((c, dtype.type(w), dtype.type(2 * w)))
+        return [(a, b, cuts) for (a, b), cuts in forms.items()], table, dtype
+
+    def piece_of_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Id of the piece whose half-open domain holds each (x, y), or -1:
+        each point's sign code over the distinct lines, then one gather from
+        the sign table."""
+        pid = np.empty(np.shape(x), dtype=np.int64)  # before the temporaries: a lower peak RSS
+        code = np.zeros(np.shape(x), dtype=self._code_dtype)
+        for a, b, cuts in self._lines:
+            f = _form(x, y, a, b)
+            for c, w_le, w_ge in cuts:
+                code += (f <= c) * w_le
+                code += (f >= c) * w_ge
+        return self._table.take(code, out=pid, mode="clip")  # every code is in range
 
     def piece_of(self, x: float, y: float) -> int:
         pid = self.piece_of_arrays(np.asarray([x]), np.asarray([y]))[0]
@@ -146,10 +193,10 @@ class PiecewiseAffineTorusMap:
 
     # -- forward / inverse --------------------------------------------------
 
-    def apply_arrays(self, x: np.ndarray, y: np.ndarray):
-        """Return (x', y', piece_id) with piece_id the piece containing the
-        image (so the result is a valid marked point); images in [0,1)."""
-        pid = self.piece_of_arrays(x, y)
+    def apply_arrays(self, x: np.ndarray, y: np.ndarray, pid: np.ndarray):
+        """Return (x', y', piece_id) for points (x, y) in the pieces pid,
+        with piece_id the piece containing the image (so the result is a
+        valid marked point); images in [0,1)."""
         u, v = self.lift_image_arrays(x, y, pid)
         u, v = u % 1.0, v % 1.0
         return u, v, self.piece_of_arrays(u, v)
@@ -162,7 +209,8 @@ class PiecewiseAffineTorusMap:
         return u, v
 
     def apply(self, x: float, y: float) -> tuple[float, float, int]:
-        u, v, pid = self.apply_arrays(np.asarray([x]), np.asarray([y]))
+        pid = np.asarray([self.piece_of(x, y)])
+        u, v, pid = self.apply_arrays(np.asarray([x]), np.asarray([y]), pid)
         return float(u[0]), float(v[0]), int(pid[0])
 
     def apply_inverse_arrays(self, x: np.ndarray, y: np.ndarray):
@@ -439,6 +487,12 @@ class FlowDiag:
 # ---------------------------------------------------------------------------
 
 
+def _check_positions(x, y) -> None:
+    """Raise NonFinite unless every coordinate of (x, y) is finite."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NonFinite("positions x, y must be finite")
+
+
 class SuspensionFlow:
     """Immutable suspension flow; all evolution routines are pure."""
 
@@ -483,6 +537,8 @@ class SuspensionFlow:
         map, in the piece that claims the image, also when the image lies
         on a piece boundary.  diag, when given, records every landing.
 
+        Positions must be finite, and pid must be the piece that claims
+        each position: the map steps read the source piece from it.
         Heights must satisfy 0 <= z < tau + tau_max.  Every height up to
         tau_max passes, so a finite-difference stencil may step across a
         roof jump; a height above its roof crosses at once.  A NaN height,
@@ -496,6 +552,11 @@ class SuspensionFlow:
         rem = np.broadcast_to(np.asarray(t, dtype=float), x.shape).copy()
         if not np.all(np.isfinite(rem)) or np.any(rem < 0):
             raise NonFinite("forward times must be finite and >= 0")
+        _check_positions(x, y)
+        wrong = self.base.piece_of_arrays(x, y) != pid
+        if np.any(wrong):
+            i = int(np.argmax(wrong))
+            raise ValueError(f"piece id {pid.flat[i]} does not claim ({x.flat[i]}, {y.flat[i]})")
         tau = self.roof.tau_arrays(x, y, pid)
         if not np.all((z >= 0.0) & (z < tau + self.tau_max)):
             raise NonFinite("forward heights must satisfy 0 <= z < tau + tau_max")
@@ -505,10 +566,11 @@ class SuspensionFlow:
     def _advance(self, x, y, z, pid, tau, rem, diag: FlowDiag | None = None):
         """Move flat point arrays forward in place by the times rem >= 0.
 
-        tau carries each point's roof value tau(x, y, pid), in place too:
-        it is recomputed only where a point crossed the section.  Each pass
-        moves the active points to their roof or by their remaining time,
-        and only the points that crossed stay active.
+        pid carries the piece that claims each point and tau its roof value
+        tau(x, y, pid), in place too: both are recomputed only where a point
+        crossed the section, and the map step reads its source piece from
+        pid.  Each pass moves the active points to their roof or by their
+        remaining time, and only the points that crossed stay active.
         """
         act = slice(None)  # the first pass takes every point, through views
         while True:
@@ -530,7 +592,7 @@ class SuspensionFlow:
             if not isinstance(act, slice):
                 act_c, act_n = act[act_c], act[act_n]
             del zi, ri, ti, gap, cross, zs, again  # free before the map step
-            nx, ny, npid = self.base.apply_arrays(x[act_c], y[act_c])
+            nx, ny, npid = self.base.apply_arrays(x[act_c], y[act_c], pid[act_c])
             x[act_c], y[act_c], pid[act_c] = nx, ny, npid
             tau[act_c] = self.roof.tau_arrays(nx, ny, npid)
             if diag is not None:
@@ -544,8 +606,7 @@ class SuspensionFlow:
 
         Heights must satisfy 0 <= z < tau + tau_max, the rule of
         forward_arrays; a NaN height or one far above the roof raises
-        NonFinite.  A NaN position (so a NaN tau) is left to the first
-        inverse step, whose error names the point."""
+        NonFinite, and so does a NaN or infinite position."""
         x = np.array(x, dtype=float, copy=True)
         y = np.array(y, dtype=float, copy=True)
         z = np.array(z, dtype=float, copy=True)
@@ -553,6 +614,7 @@ class SuspensionFlow:
         rem = np.broadcast_to(np.asarray(t, dtype=float), x.shape).copy()
         if not np.all(np.isfinite(rem)) or np.any(rem < 0):
             raise NonFinite("backward times must be finite and >= 0")
+        _check_positions(x, y)
         if np.any(~(z >= 0.0) | (z >= self.roof.tau_arrays(x, y, pid) + self.tau_max)):
             raise NonFinite("backward heights must satisfy 0 <= z < tau + tau_max")
         while True:
@@ -584,8 +646,10 @@ class SuspensionFlow:
 
         Level k of an orbit is its k-th box, entered at t_k (t_0 = 0) and
         left at t_k + z, where a node at exactly t_k + z stays; only orbits
-        whose box ends before ts[-1] step to the next level.
+        whose box ends before ts[-1] step to the next level.  A NaN or
+        infinite position raises NonFinite.
         """
+        _check_positions(x, y)
         ts = np.asarray(ts, dtype=float)
         n, m = np.size(x), ts.size
         levels = [np.array([x, y, z, pid, np.zeros(n)], dtype=float).reshape(5, n)]
@@ -674,6 +738,7 @@ class PerturbedTorusMap:
         self.epsilon = float(epsilon)
         self._labels = [(b, k, m) for b in (1, 2) for k in (0, 1) for m in (-1, 0, 1)]
         self._index = {lab: i for i, lab in enumerate(self._labels)}
+        self._label_table = np.array(self._labels, dtype=np.int64).T  # rows branch, k, m
 
     # -- lifted branch data ---------------------------------------------------
 
@@ -717,14 +782,17 @@ class PerturbedTorusMap:
     def piece_of(self, x, y) -> int:
         return int(self.piece_of_arrays(np.asarray([x]), np.asarray([y]))[0])
 
-    def apply_arrays(self, x, y):
-        branch, k, m = self.label_arrays(x, y)
+    def apply_arrays(self, x, y, pid):
+        """apply_arrays of PiecewiseAffineTorusMap: the labels (branch, k, m)
+        of the pieces pid select each point's image formula."""
+        branch, k, m = self._label_table[:, pid]
         f1, f2, _ = self.lift_components(x, y, branch, m)
         u, v = f1 % 1.0, f2 - k
         return u, v, self.piece_of_arrays(u, v)
 
     def apply(self, x, y):
-        u, v, pid = self.apply_arrays(np.asarray([x]), np.asarray([y]))
+        pid = np.asarray([self.piece_of(x, y)])
+        u, v, pid = self.apply_arrays(np.asarray([x]), np.asarray([y]), pid)
         return float(u[0]), float(v[0]), int(pid[0])
 
     def apply_inverse_arrays(self, x, y):

@@ -357,10 +357,13 @@ def _max_incidence(cells: list[pg.Polygon]) -> int:
                 reps.append((px, py, w))
                 owner.append(key)
     rf = np.array([(x / w, y / w) for x, y, w in reps])
+    by_x = np.argsort(rf[:, 0], kind="stable")  # a cell's box takes an x slice
+    xs = rf[by_x, 0]
     for ci, c in enumerate(cells):
         cf = np.array([(x / w, y / w) for x, y, w in c])
         lo, hi = cf.min(axis=0) - 1e-9, cf.max(axis=0) + 1e-9
-        cand = np.flatnonzero(np.all((rf >= lo) & (rf <= hi), axis=1))
+        cand = by_x[np.searchsorted(xs, lo[0], "left"):np.searchsorted(xs, hi[0], "right")]
+        cand = cand[(rf[cand, 1] >= lo[1]) & (rf[cand, 1] <= hi[1])]
         q = rf[cand]
         e = np.roll(cf, -1, axis=0) - cf
         cross = e[:, :1] * (q[:, 1] - cf[:, 1:2]) - e[:, 1:2] * (q[:, 0] - cf[:, :1])

@@ -445,7 +445,8 @@ def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
     piece lookup and one roof evaluation; the pool refills in cell order as
     cells finish, and each cell writes its kept points to its own row.
     Returns per-cell (kept, accepted, drawn) counts and the kept points
-    (x, y, z, pid), ordered by cell, then round, then draw.
+    (x, y, z, pid) with their roof values tau, ordered by cell, then round,
+    then draw.
     """
     nx, ny, nz = partition
     dz = flow.tau_max / nz
@@ -458,6 +459,7 @@ def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
     drawn = np.zeros_like(got)
     out = [np.empty((n, samples_per_cell)) for _ in range(3)]
     out.append(np.empty((n, samples_per_cell), dtype=np.int64))
+    out.append(np.empty((n, samples_per_cell)))
     pool = max(1, _BLOCK_ELEMENTS // m)
     rngs = {}
     act = np.empty(0, dtype=np.int64)
@@ -478,12 +480,13 @@ def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
         y = (j + u[:, 1]) / ny
         z = zlow[k] + u[:, 2] * dz
         pid = flow.base.piece_of_arrays(x, y)
-        acc = z < flow.roof.tau_arrays(x, y, pid)
+        tau = flow.roof.tau_arrays(x, y, pid)
+        acc = z < tau
         n_acc = acc.sum(axis=1)
         rank = got[act][:, None] + np.cumsum(acc, axis=1)  # 1-based slot in the row
         keep = acc & (rank <= samples_per_cell)
         cell, slot = act[np.nonzero(keep)[0]], rank[keep] - 1
-        for dst, src in zip(out, (x, y, z, pid)):
+        for dst, src in zip(out, (x, y, z, pid, tau)):
             dst[cell, slot] = src[keep]
         got[act] = np.minimum(got[act] + n_acc, samples_per_cell)
         accepted[act] += n_acc
@@ -520,7 +523,7 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamMode
     col_max = _column_roof_max(flow, nx, ny)
     dz = flow.tau_max / nz
     cells = np.argwhere(col_max[:, :, None] > (np.arange(nz) * dz)[None, None, :])
-    got, accepted, drawn, sx, sy, sz, spid = _sample_cells(
+    got, accepted, drawn, sx, sy, sz, spid, stau = _sample_cells(
         flow, cells, (nx, ny, nz), samples_per_cell, seed)
     kept = got > 0
     n_dropped = nx * ny * nz - int(kept.sum())
@@ -536,10 +539,10 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamMode
     idx3[states[:, 0], states[:, 1], states[:, 2]] = np.arange(n_states)
     row_counts = got[kept]
 
-    fx, fy, fz, fpid = flow.forward_arrays(sx, sy, sz, spid, t)
-    di = np.minimum((fx * nx).astype(np.int64), nx - 1)
-    dj = np.minimum((fy * ny).astype(np.int64), ny - 1)
-    dk = np.minimum((fz / dz).astype(np.int64), nz - 1)
+    flow._advance(sx, sy, sz, spid, stau, np.full(sx.size, t))  # in place, to time t
+    di = np.minimum((sx * nx).astype(np.int64), nx - 1)
+    dj = np.minimum((sy * ny).astype(np.int64), ny - 1)
+    dk = np.minimum((sz / dz).astype(np.int64), nz - 1)
     dest = idx3[di, dj, dk]
     if np.any(dest < 0):
         bad = np.nonzero(dest < 0)[0][0]

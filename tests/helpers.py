@@ -156,6 +156,36 @@ def column_roof_max_reference(flow, nx, ny):
     return out
 
 
+# the standard map's half-open pieces 1a, 1b, 2a, 2b as (a, b, op, c) for
+# a * x + b * y op c, written out here so that a changed side in the map
+# itself shows up against them
+STANDARD_HALFPLANES = [
+    [(1.0, 1.0, "<=", 1.0), (1.0, 3.0, "<", 2.0)],
+    [(1.0, 1.0, "<=", 1.0), (1.0, 3.0, ">=", 2.0)],
+    [(1.0, 1.0, ">", 1.0), (1.0, 3.0, "<", 3.0)],
+    [(1.0, 1.0, ">", 1.0), (1.0, 3.0, ">=", 3.0)],
+]
+_OPS = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+
+
+def piece_of_reference(halfplanes, x, y):
+    """Per-piece loop: the reference for piece_of_arrays.
+
+    Piece i claims the points that no earlier piece claims and where all its
+    half-planes hold, with a * x + b * y computed as the map computes it (a
+    unit factor skipped); a piece without half-planes claims every point,
+    NaN included.  Unclaimed points get -1.
+    """
+    pid = np.full(np.shape(x), -1, dtype=np.int64)
+    for i, hps in enumerate(halfplanes):
+        ok = True
+        for a, b, op, c in hps:
+            f = (x if a == 1.0 else a * x) + (y if b == 1.0 else b * y)
+            ok = ok & _OPS[op](f, c)
+        pid[(pid < 0) & ok] = i
+    return pid
+
+
 def forward_reference(flow, x, y, z, pid, t):
     """Whole-batch event stepping: the reference for SuspensionFlow.forward_arrays.
 
@@ -175,7 +205,8 @@ def forward_reference(flow, x, y, z, pid, t):
         z[stay] += rem[stay]
         rem[stay] = 0.0
         rem[cross] -= gap[cross]
-        x[cross], y[cross], pid[cross] = flow.base.apply_arrays(x[cross], y[cross])
+        xc, yc = x[cross], y[cross]  # the source piece is looked up, not carried
+        x[cross], y[cross], pid[cross] = flow.base.apply_arrays(xc, yc, flow.base.piece_of_arrays(xc, yc))
         z[cross] = 0.0
 
 

@@ -21,18 +21,22 @@ from contactflow import _polygon as pg
 from contactflow._rng import spawn_rng
 from contactflow.flow import PerturbedRoof, PerturbedTorusMap
 from helpers import (
+    STANDARD_HALFPLANES,
     backward_orbit_reference,
     forward_reference,
     fraction_polygon,
     grid_points,
     interior_points,
     perturbed_roof_reference,
+    piece_of_reference,
     signed_area2,
     vertex,
     wrap_diff,
 )
 
 MAT = np.array([[1.0, 1.0], [0.5, 1.5]])
+STANDARD_MAP = standard_map()
+SINGLE_PIECE_MAP = single_piece_map()
 
 
 def test_piece_determinants_exactly_one():
@@ -105,12 +109,77 @@ def test_piece_lookup_matches_piece_polygons():
     assert list(base.piece_of_arrays(nx, ny)) == [-1, -1, -1]
 
 
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1
+_DYADIC = st.integers(0, 2 ** 20 - 1).map(lambda k: k / 2 ** 20)
+
+
+def _on_line(b, c):
+    """Points exactly on x + b y = c: a dyadic y and x = c - b y in [0, 1)."""
+    return _DYADIC.map(lambda y: (c - b * y, y)).filter(lambda p: 0.0 <= p[0] < 1.0)
+
+
+_LOOKUP_POINTS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True)),
+    _on_line(1.0, 1.0), _on_line(3.0, 2.0), _on_line(3.0, 3.0),
+    st.tuples(st.sampled_from([0.0, _BELOW_ONE]), _DYADIC),
+    st.tuples(_DYADIC, st.sampled_from([0.0, _BELOW_ONE])),
+    st.tuples(st.just(np.nan), _DYADIC | st.just(np.nan)),
+    st.tuples(_DYADIC, st.just(np.nan)),
+)
+
+
+@given(st.lists(_LOOKUP_POINTS, min_size=1, max_size=40))
+def test_sign_table_lookup_matches_per_piece_reference(pts):
+    base = STANDARD_MAP
+    assert base._table.size == 4 ** 3  # three distinct lines
+    x, y = (np.array(v) for v in zip(*pts))
+    want = piece_of_reference(STANDARD_HALFPLANES, x, y)
+    assert np.array_equal(base.piece_of_arrays(x, y), want)
+    assert np.array_equal(want < 0, np.isnan(x) | np.isnan(y))
+    # the images of the claimed points, as the map step looks them up
+    ok = want >= 0
+    u, v, upid = base.apply_arrays(x[ok], y[ok], want[ok])
+    assert np.array_equal(upid, piece_of_reference(STANDARD_HALFPLANES, u, v))
+    assert np.array_equal(base.piece_of_arrays(u, v), upid)
+    # the control map's piece has no half-planes and claims every point, NaN too
+    single = SINGLE_PIECE_MAP.piece_of_arrays(x, y)
+    assert np.array_equal(single, piece_of_reference([()], x, y))
+    assert single.dtype == np.int64 and not single.any()
+
+
+def test_forward_arrays_rejects_a_neighbours_piece_id(flow):
+    # (1/8, 5/8) lies on x + 3y = 2 and (1/4, 3/4) on x + y = 1; piece 1b
+    # (id 1) owns both, against 1a (id 0) and 2a (id 2)
+    for (x, y), other in (((0.125, 0.625), 0), ((0.25, 0.75), 2)):
+        assert flow.base.piece_of(x, y) == 1
+        flow.forward_arrays([x], [y], [0.1], [1], 3.0)
+        with pytest.raises(ValueError, match=f"piece id {other} does not claim"):
+            flow.forward_arrays([x, x], [y, y], [0.1, 0.1], [1, other], 3.0)
+
+
+@pytest.mark.parametrize("flow_name", ["flow", "pflow"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_kernels_reject_non_finite_positions(flow_name, bad, axis, request):
+    f = request.getfixturevalue(flow_name)
+    pos = [np.array([0.3, 0.3]), np.array([0.4, 0.4])]
+    pos[axis][1] = bad
+    pid = np.full(2, f.base.piece_of(0.3, 0.4))
+    z = np.array([0.2, 0.2])
+    calls = (lambda: f.forward_arrays(*pos, z, pid, 1.0),
+             lambda: f.backward_arrays(*pos, z, pid, 1.0),
+             lambda: f.backward_orbit_eval(*pos, z, pid, np.linspace(0.0, 3.0, 10)))
+    for call in calls:
+        with pytest.raises(NonFinite, match="positions"):
+            call()
+
+
 def test_forward_and_inverse_compose_to_identity():
     base = standard_map()
     rng = spawn_rng(29, 1)
     x = rng.random(10_000)
     y = rng.random(10_000)
-    fx, fy, _ = base.apply_arrays(x, y)
+    fx, fy, _ = base.apply_arrays(x, y, base.piece_of_arrays(x, y))
     bx, by, _ = base.apply_inverse_arrays(fx, fy)
     assert np.max(np.abs(wrap_diff(bx, x))) < 1e-12
     assert np.max(np.abs(wrap_diff(by, y))) < 1e-12
@@ -123,7 +192,8 @@ def test_forward_and_inverse_compose_to_identity():
 @pytest.mark.parametrize("p", [(0.25, 0.75), (0.5, 0.5), (0.75, 0.25)])
 def test_inverse_undoes_forward_on_the_seam(p):
     base = standard_map()
-    fx, fy, _ = base.apply_arrays(np.array([p[0]]), np.array([p[1]]))
+    x, y = np.array([p[0]]), np.array([p[1]])
+    fx, fy, _ = base.apply_arrays(x, y, base.piece_of_arrays(x, y))
     assert fx[0] == 0.0  # the image sits on the seam
     bx, by, bp = base.apply_inverse_arrays(fx, fy)
     assert bp[0] >= 0
@@ -196,7 +266,7 @@ def test_roof_gradient_matches_map():
     x = rng.random(2000)
     y = rng.random(2000)
     pid = base.piece_of_arrays(x, y)
-    _, fy, _ = base.apply_arrays(x, y)
+    _, fy, _ = base.apply_arrays(x, y, pid)
     gx, gy = flow.roof.grad_arrays(x, y, pid)
     # grad tau = (y - f2 * d f1/dx, -f2 * d f1/dy) with both partials 1
     assert np.max(np.abs(gx - (y - fy))) < 1e-12
@@ -311,9 +381,10 @@ def test_backward_orbit_eval_matches_reference_walk(flow_name, request):
 
 @pytest.mark.parametrize("kernel", ["backward_orbit_eval", "backward_arrays"])
 def test_backward_orbit_eval_rejects_unclaimed_start(flow, kernel):
+    # a NaN start is refused at entry, before any inverse step
     pid = flow.base.piece_of(0.3, 0.4)
     t = np.linspace(0.0, 3.0, 10) if kernel == "backward_orbit_eval" else 3.0
-    with pytest.raises(ValueError, match="no inverse piece claims"):
+    with pytest.raises(NonFinite, match="positions"):
         getattr(flow, kernel)(np.array([0.3, np.nan]), np.array([0.4, 0.4]),
                               np.array([0.2, 0.2]), np.array([pid, pid]), t)
 
@@ -544,8 +615,8 @@ def test_perturbed_zero_epsilon_recovers_quadratic_roof(flow):
     pid1 = zero.base.piece_of_arrays(x, y)
     tau1 = zero.roof.tau_arrays(x, y, pid1)
     assert np.max(np.abs(tau1 - tau0)) < 1e-9
-    fx0, fy0, _ = flow.base.apply_arrays(x, y)
-    fx1, fy1, _ = zero.base.apply_arrays(x, y)
+    fx0, fy0, _ = flow.base.apply_arrays(x, y, pid0)
+    fx1, fy1, _ = zero.base.apply_arrays(x, y, pid1)
     assert np.max(np.abs(wrap_diff(fx1, fx0))) < 1e-12
     assert np.max(np.abs(wrap_diff(fy1, fy0))) < 1e-12
 
@@ -577,7 +648,7 @@ def test_perturbed_inverse_round_trip(pflow):
     rng = spawn_rng(73, 8)
     x = rng.random(5000)
     y = rng.random(5000)
-    fx, fy, _ = pflow.base.apply_arrays(x, y)
+    fx, fy, _ = pflow.base.apply_arrays(x, y, pflow.base.piece_of_arrays(x, y))
     bx, by, _ = pflow.base.apply_inverse_arrays(fx, fy)
     assert np.max(np.abs(wrap_diff(bx, x))) < 1e-10
     assert np.max(np.abs(wrap_diff(by, y))) < 1e-10

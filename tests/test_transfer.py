@@ -291,6 +291,20 @@ def test_ulam_sampler_matches_per_cell_reference(flow, samples_per_cell):
     assert model.volumes.tobytes() == np.array(volumes).tobytes()
 
 
+@pytest.mark.parametrize("flow_name", ["flow", "pflow"])
+def test_sample_cells_returns_the_roof_at_its_kept_points(flow_name, request):
+    # ulam_build steps the kept points from these roof values
+    f = request.getfixturevalue(flow_name)
+    part = (5, 4, 6)
+    dz = f.tau_max / part[2]
+    col = _column_roof_max(f, *part[:2])
+    cells = np.argwhere(col[:, :, None] > (np.arange(part[2]) * dz)[None, None, :])
+    *_, x, y, z, pid, tau = _sample_cells(f, cells, part, 100, seed=3)
+    assert tau.dtype == np.float64 and tau.size > 1000
+    assert tau.tobytes() == f.roof.tau_arrays(x, y, pid).tobytes()
+    assert np.all(z < tau)
+
+
 @pytest.mark.parametrize("nx,ny", [(24, 24), (48, 48), (7, 5), (6, 4)])
 def test_column_roof_max_classification_matches_full_clipping(flow, nx, ny):
     # 24 x 24 and 6 x 4 put rectangle corners on piece edges (x + y = 1 and
