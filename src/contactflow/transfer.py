@@ -385,7 +385,6 @@ class UlamModel:
     n_dropped: int
     n_starved: int
     min_row_samples: int
-    row_sum_error: float
 
     @property
     def n_states(self) -> int:
@@ -435,18 +434,23 @@ def _column_roof_max(flow, nx: int, ny: int) -> np.ndarray:
 
 
 def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
-                  seed: int):
-    """Rejection samples below the roof in each cell (i, j, k) of cells.
+                  seed: int, t: float):
+    """Rejection samples below the roof in each cell (i, j, k) of cells,
+    moved to time t and binned to the cell they land in.
 
     Cell c draws from its own stream spawn_rng(seed, 1, c's flat index), in
     rounds of max(256, samples_per_cell) points, until it holds
     samples_per_cell points or has drawn 256 * samples_per_cell.  Each round
     serves a pool of cells holding at most _BLOCK_ELEMENTS points, with one
     piece lookup and one roof evaluation; the pool refills in cell order as
-    cells finish, and each cell writes its kept points to its own row.
-    Returns per-cell (kept, accepted, drawn) counts and the kept points
-    (x, y, z, pid) with their roof values tau, ordered by cell, then round,
-    then draw.
+    cells finish.  Kept points gather in a buffer.  Once it holds
+    _BLOCK_ELEMENTS points, and once more at the end, flow._advance moves
+    them to time t, half a block per call, and each lands in the flat index
+    (i * ny + j) * nz + k of its destination cell.
+    Returns per-cell (kept, accepted, drawn) counts and a
+    (cells x samples_per_cell) array whose row holds the destinations of
+    the cell's kept points in (round, draw) order; unfilled slots hold
+    nx * ny * nz.
     """
     nx, ny, nz = partition
     dz = flow.tau_max / nz
@@ -457,10 +461,49 @@ def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
     got = np.zeros(n, dtype=np.int64)
     accepted = np.zeros_like(got)
     drawn = np.zeros_like(got)
-    out = [np.empty((n, samples_per_cell)) for _ in range(3)]
-    out.append(np.empty((n, samples_per_cell), dtype=np.int64))
-    out.append(np.empty((n, samples_per_cell)))
+    dest = np.full((n, samples_per_cell), nx * ny * nz, dtype=np.int64)
     pool = max(1, _BLOCK_ELEMENTS // m)
+    # the buffer: x, y, z, roof and piece of each kept point, and its slot
+    # cell * samples_per_cell + rank in dest; a round adds at most pool * m
+    room = _BLOCK_ELEMENTS + pool * m
+    buf = [np.empty(room) for _ in range(4)]
+    buf += [np.empty(room, dtype=np.int64) for _ in range(2)]
+    held = 0
+
+    def flush():
+        # half a block per call keeps _advance's temporaries (about 110 bytes
+        # a point) below a sampler round's (about 90 bytes a drawn point)
+        for lo in range(0, held, _BLOCK_ELEMENTS // 2):
+            x, y, z, tau, pid, slot = (b[lo:min(held, lo + _BLOCK_ELEMENTS // 2)]
+                                       for b in buf)
+            flow._advance(x, y, z, pid, tau, np.full(x.size, t))  # in place
+            di = np.minimum((x * nx).astype(np.int64), nx - 1)
+            dj = np.minimum((y * ny).astype(np.int64), ny - 1)
+            dk = np.minimum((z / dz).astype(np.int64), nz - 1)
+            dest.flat[slot] = (di * ny + dj) * nz + dk
+
+    def draw(act):
+        # one round for the pool act: buffer its kept points, count its draws
+        nonlocal held
+        u = np.empty((act.size, 3, m))
+        for row, c in zip(u, act):
+            rngs[c].random(out=row)
+        i, j, k = (v[:, None] for v in cells[act].T)
+        x = (i + u[:, 0]) / nx
+        y = (j + u[:, 1]) / ny
+        z = zlow[k] + u[:, 2] * dz
+        pid = flow.base.piece_of_arrays(x, y)
+        tau = flow.roof.tau_arrays(x, y, pid)
+        acc = z < tau
+        rank = got[act][:, None] + np.cumsum(acc, axis=1)  # 1-based slot in the row
+        keep = acc & (rank <= samples_per_cell)
+        slot = act[:, None] * samples_per_cell + rank - 1
+        end = held + int(keep.sum())
+        for dst, src in zip(buf, (x, y, z, tau, pid, slot)):
+            dst[held:end] = src[keep]
+        held = end
+        return acc.sum(axis=1)
+
     rngs = {}
     act = np.empty(0, dtype=np.int64)
     started = 0
@@ -472,22 +515,7 @@ def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
         act = np.concatenate([act, new])
         if not act.size:
             break
-        u = np.empty((act.size, 3, m))
-        for row, c in zip(u, act):
-            rngs[c].random(out=row)
-        i, j, k = (v[:, None] for v in cells[act].T)
-        x = (i + u[:, 0]) / nx
-        y = (j + u[:, 1]) / ny
-        z = zlow[k] + u[:, 2] * dz
-        pid = flow.base.piece_of_arrays(x, y)
-        tau = flow.roof.tau_arrays(x, y, pid)
-        acc = z < tau
-        n_acc = acc.sum(axis=1)
-        rank = got[act][:, None] + np.cumsum(acc, axis=1)  # 1-based slot in the row
-        keep = acc & (rank <= samples_per_cell)
-        cell, slot = act[np.nonzero(keep)[0]], rank[keep] - 1
-        for dst, src in zip(out, (x, y, z, pid, tau)):
-            dst[cell, slot] = src[keep]
+        n_acc = draw(act)
         got[act] = np.minimum(got[act] + n_acc, samples_per_cell)
         accepted[act] += n_acc
         drawn[act] += m
@@ -495,8 +523,11 @@ def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
         for c in act[done]:
             del rngs[c]
         act = act[~done]
-    filled = np.arange(samples_per_cell) < got[:, None]
-    return (got, accepted, drawn, *(v[filled] for v in out))
+        if held >= _BLOCK_ELEMENTS:
+            flush()
+            held = 0
+    flush()
+    return got, accepted, drawn, dest
 
 
 def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamModel:
@@ -523,8 +554,8 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamMode
     col_max = _column_roof_max(flow, nx, ny)
     dz = flow.tau_max / nz
     cells = np.argwhere(col_max[:, :, None] > (np.arange(nz) * dz)[None, None, :])
-    got, accepted, drawn, sx, sy, sz, spid, stau = _sample_cells(
-        flow, cells, (nx, ny, nz), samples_per_cell, seed)
+    got, accepted, drawn, dest = _sample_cells(
+        flow, cells, (nx, ny, nz), samples_per_cell, seed, t)
     kept = got > 0
     n_dropped = nx * ny * nz - int(kept.sum())
     n_starved = int((got[kept] < samples_per_cell).sum())
@@ -535,26 +566,44 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamMode
     n_states = len(states)
     if n_states == 0:
         raise EmptyCell("no cell carries volume below the roof")
-    idx3 = -np.ones((nx, ny, nz), dtype=np.int64)
-    idx3[states[:, 0], states[:, 1], states[:, 2]] = np.arange(n_states)
-    row_counts = got[kept]
 
-    flow._advance(sx, sy, sz, spid, stau, np.full(sx.size, t))  # in place, to time t
-    di = np.minimum((sx * nx).astype(np.int64), nx - 1)
-    dj = np.minimum((sy * ny).astype(np.int64), ny - 1)
-    dk = np.minimum((sz / dz).astype(np.int64), nz - 1)
-    dest = idx3[di, dj, dk]
-    if np.any(dest < 0):
-        bad = np.nonzero(dest < 0)[0][0]
-        raise EmptyCell(
-            f"mass mapped into dropped cell ({di[bad]}, {dj[bad]}, {dk[bad]})")
+    # state of each flat cell index: dropped cells read -1, and the unfilled
+    # slot marker nx * ny * nz reads n_states, which sorts after every state
+    idx3 = np.full(nx * ny * nz + 1, -1, dtype=np.int64)
+    idx3[(states[:, 0] * ny + states[:, 1]) * nz + states[:, 2]] = np.arange(n_states)
+    idx3[-1] = n_states
+    cols = idx3[dest]
+    bad = np.flatnonzero(cols < 0)
+    if bad.size:
+        i, j, k = np.unravel_index(dest.flat[bad[0]], (nx, ny, nz))
+        raise EmptyCell(f"mass mapped into dropped cell ({i}, {j}, {k})")
+    del dest
+
+    # one CSR entry per run of equal destinations in a sorted row, worth
+    # 1/count added run-length times in sequence, as tocsr sums duplicates
+    cols.sort(axis=1)
+    flat = cols.ravel()
+    starts = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::samples_per_cell] = True  # each row starts a run
+    first = np.flatnonzero(starts)
+    del starts
+    length = np.diff(first, append=flat.size)
+    filled = flat[first] < n_states
+    first, length = first[filled], length[filled]
+    indices = flat[first]
+    row = first // samples_per_cell  # position in cells
+    indptr = np.zeros(n_states + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=len(cells))[kept], out=indptr[1:])
+    count = got[row]
+    sizes = np.unique(count)
+    # sums[offset + L - 1] is 1/c added L times in sequence, for each size c
+    offset = np.cumsum(sizes) - sizes
+    sums = np.concatenate([np.cumsum(np.full(c, 1.0 / c)) for c in sizes])
+    data = sums[offset[np.searchsorted(sizes, count)] + length - 1]
     import scipy.sparse as sp
 
-    rows = np.repeat(np.arange(n_states), row_counts)
-    data = np.repeat(1.0 / row_counts, row_counts)
-    matrix = sp.coo_matrix((data, (rows, dest)),
-                           shape=(n_states, n_states)).tocsr()
-    row_sum_error = float(np.abs(np.asarray(matrix.sum(axis=1)).ravel() - 1.0).max())
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_states, n_states))
 
     if n_states <= 600:
         eigvals = np.linalg.eigvals(matrix.toarray())
@@ -574,7 +623,7 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamMode
         volumes=volumes, eigenvalues=eigvals, leading=leading,
         second_modulus=second_modulus, samples_per_cell=samples_per_cell,
         seed=int(seed), n_dropped=n_dropped, n_starved=n_starved,
-        min_row_samples=int(row_counts.min()), row_sum_error=row_sum_error,
+        min_row_samples=int(got[kept].min()),
     )
 
 

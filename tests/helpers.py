@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from contactflow import RoofFunction, SuspensionFlow, standard_map
+from contactflow import EmptyCell, RoofFunction, SuspensionFlow, standard_map, transfer
 from contactflow._quadrature import gl_interval
 from contactflow._rng import spawn_rng
 
@@ -135,6 +135,72 @@ def ulam_sampler_reference(flow, cells, partition, samples_per_cell, seed):
     got, accepted, drawn = np.array(counts, dtype=np.int64).reshape(-1, 3).T
     return (got, accepted, drawn, np.concatenate(sx), np.concatenate(sy),
             np.concatenate(sz), np.concatenate(spid))
+
+
+def ulam_cells(flow, partition):
+    """The cells (i, j, k) whose box reaches below the column's roof max:
+    the cells ulam_build samples."""
+    nx, ny, nz = partition
+    dz = flow.tau_max / nz
+    col = transfer._column_roof_max(flow, nx, ny)
+    return np.argwhere(col[:, :, None] > (np.arange(nz) * dz)[None, None, :])
+
+
+def ulam_destinations_reference(flow, t, partition, points):
+    """Flat destination index (i * ny + j) * nz + k of every kept point,
+    with all of them moved to time t by one flow._advance."""
+    nx, ny, nz = partition
+    dz = flow.tau_max / nz
+    x, y, z, pid = (np.array(v) for v in points)
+    flow._advance(x, y, z, pid, flow.roof.tau_arrays(x, y, pid),
+                  np.full(x.size, float(t)))
+    di = np.minimum((x * nx).astype(np.int64), nx - 1)
+    dj = np.minimum((y * ny).astype(np.int64), ny - 1)
+    dk = np.minimum((z / dz).astype(np.int64), nz - 1)
+    return (di * ny + dj) * nz + dk
+
+
+def ulam_matrix_reference(flow, t, partition, samples_per_cell, seed):
+    """Whole-batch Ulam build: the reference for transfer.ulam_build.
+
+    Every kept point of ulam_sampler_reference is moved by one _advance and
+    the transition matrix is a COO matrix of 1/count per point, summed into
+    CSR by tocsr.  Returns (states, matrix, volumes, eigenvalues), the
+    eigenvalues chosen as ulam_build chooses them.
+    """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    nx, ny, nz = partition
+    cells = ulam_cells(flow, partition)
+    got, accepted, drawn, *points = ulam_sampler_reference(
+        flow, cells, partition, samples_per_cell, seed)
+    kept = got > 0
+    states = cells[kept]
+    n_states = len(states)
+    idx3 = -np.ones((nx, ny, nz), dtype=np.int64)
+    idx3[states[:, 0], states[:, 1], states[:, 2]] = np.arange(n_states)
+    flat = ulam_destinations_reference(flow, t, partition, points)
+    di, dj, dk = np.unravel_index(flat, (nx, ny, nz))
+    dest = idx3[di, dj, dk]
+    if np.any(dest < 0):
+        bad = np.nonzero(dest < 0)[0][0]
+        raise EmptyCell(
+            f"mass mapped into dropped cell ({di[bad]}, {dj[bad]}, {dk[bad]})")
+    row_counts = got[kept]
+    rows = np.repeat(np.arange(n_states), row_counts)
+    data = np.repeat(1.0 / row_counts, row_counts)
+    matrix = sp.coo_matrix((data, (rows, dest)),
+                           shape=(n_states, n_states)).tocsr()
+    dz = flow.tau_max / nz
+    volumes = (1.0 / nx) * (1.0 / ny) * dz * accepted[kept] / drawn[kept]
+    if n_states <= 600:
+        eigvals = np.linalg.eigvals(matrix.toarray())
+    else:
+        eigvals = spla.eigs(matrix, k=min(6, n_states - 2), v0=np.ones(n_states),
+                            which="LM", maxiter=50_000, return_eigenvectors=False)
+    order = np.argsort(-np.abs(eigvals), kind="stable")
+    return states, matrix, volumes, eigvals[order][: min(8, len(eigvals))]
 
 
 def column_roof_max_reference(flow, nx, ny):

@@ -2,12 +2,14 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from contactflow import (
     CorrelationSeries,
+    EmptyCell,
     FlowPointBatch,
     NoiseFloor,
     ResolventParams,
@@ -17,18 +19,27 @@ from contactflow import (
     flow_box_bump,
     resolvent_observable,
     resolvent_power_detailed,
+    transfer,
     ulam_build,
     write_resolvent_csv,
 )
 from contactflow._quadrature import bump, wrap_delta
 from contactflow._rng import spawn_rng
 from contactflow.transfer import (
+    _BLOCK_ELEMENTS,
     _column_roof_max,
     _rule_nodes,
     _sample_cells,
     resolvent_power_points,
 )
-from helpers import column_roof_max_reference, grid_points, ulam_sampler_reference
+from helpers import (
+    column_roof_max_reference,
+    grid_points,
+    ulam_cells,
+    ulam_destinations_reference,
+    ulam_matrix_reference,
+    ulam_sampler_reference,
+)
 
 BUMP = dict(center=(0.3, 0.4, 0.5), halfwidths=(0.2, 0.2, 0.3))
 
@@ -264,45 +275,140 @@ def test_ulam_small_model_stochastic(flow):
     assert model.second_modulus < 1.0
 
 
+def _record_advance(monkeypatch, f):
+    """Copies of the (x, y, z, pid, tau) each f._advance call starts from."""
+    calls = []
+    advance = f._advance
+
+    def spy(x, y, z, pid, tau, rem, diag=None):
+        calls.append(tuple(np.array(v) for v in (x, y, z, pid, tau)))
+        return advance(x, y, z, pid, tau, rem, diag)
+
+    monkeypatch.setattr(f, "_advance", spy)
+    return calls
+
+
 @pytest.mark.parametrize("samples_per_cell", [100, 300])
-def test_ulam_sampler_matches_per_cell_reference(flow, samples_per_cell):
+def test_ulam_sampler_matches_per_cell_reference(flow, samples_per_cell, monkeypatch):
     # 6 x 6 x 40 has top cells that yield no point (dropped) and too few
     # (starved); the cells pass through the sampler pool several times over
-    part, spc = (6, 6, 40), samples_per_cell
-    dz = flow.tau_max / part[2]
-    col = _column_roof_max(flow, *part[:2])
-    cells = np.argwhere(col[:, :, None] > (np.arange(part[2]) * dz)[None, None, :])
-    got = _sample_cells(flow, cells, part, spc, seed=7)
+    part, spc, t = (6, 6, 40), samples_per_cell, 2.0
+    cells = ulam_cells(flow, part)
+    with monkeypatch.context() as mp:
+        moved = _record_advance(mp, flow)
+        got = _sample_cells(flow, cells, part, spc, seed=7, t=t)
     ref = ulam_sampler_reference(flow, cells, part, spc, seed=7)
-    for a, b in zip(got, ref):
+    for a, b in zip(got[:3], ref[:3]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     counts, accepted, drawn = ref[:3]
     kept = counts > 0
     starved = kept & (counts < spc)
     assert (~kept).any() and starved.any()
+    # each kept point is moved once, from the reference's position
+    points = [np.concatenate(v) for v in zip(*moved)]
+    mine, theirs = np.lexsort(points[2::-1]), np.lexsort(ref[5:2:-1])
+    for a, b in zip(points, ref[3:]):
+        assert a.dtype == b.dtype and a[mine].tobytes() == b[theirs].tobytes()
+    # and lands where the whole batch moved at once lands, in (cell, round,
+    # draw) order; unfilled slots hold nx * ny * nz
+    dest = got[3]
+    filled = np.arange(spc) < counts[:, None]
+    assert dest.dtype == np.int64 and dest.shape == (len(cells), spc)
+    want = ulam_destinations_reference(flow, t, part, ref[3:])
+    assert dest[filled].tobytes() == want.tobytes()
+    assert np.all(dest[~filled] == np.prod(part))
 
-    model = ulam_build(flow, 2.0, part, spc, seed=7)
+    model = ulam_build(flow, t, part, spc, seed=7)
     assert np.array_equal(model.states, cells[kept])
     assert model.n_dropped == np.prod(part) - kept.sum()
     assert model.n_starved == starved.sum()
     assert model.min_row_samples == counts[kept].min()
-    box_vol = (1.0 / part[0]) * (1.0 / part[1]) * dz
+    box_vol = (1.0 / part[0]) * (1.0 / part[1]) * (flow.tau_max / part[2])
     volumes = [box_vol * int(a) / int(d) for a, d in zip(accepted[kept], drawn[kept])]
     assert model.volumes.tobytes() == np.array(volumes).tobytes()
 
 
 @pytest.mark.parametrize("flow_name", ["flow", "pflow"])
-def test_sample_cells_returns_the_roof_at_its_kept_points(flow_name, request):
-    # ulam_build steps the kept points from these roof values
+def test_sample_cells_returns_the_roof_at_its_kept_points(flow_name, request, monkeypatch):
+    # the sampler hands _advance the roof at each kept point, from which
+    # _advance steps it
     f = request.getfixturevalue(flow_name)
     part = (5, 4, 6)
-    dz = f.tau_max / part[2]
-    col = _column_roof_max(f, *part[:2])
-    cells = np.argwhere(col[:, :, None] > (np.arange(part[2]) * dz)[None, None, :])
-    *_, x, y, z, pid, tau = _sample_cells(f, cells, part, 100, seed=3)
-    assert tau.dtype == np.float64 and tau.size > 1000
+    with monkeypatch.context() as mp:
+        moved = _record_advance(mp, f)
+        got = _sample_cells(f, ulam_cells(f, part), part, 100, seed=3, t=2.0)[0]
+    x, y, z, pid, tau = (np.concatenate(v) for v in zip(*moved))
+    assert tau.dtype == np.float64 and tau.size == got.sum() > 1000
     assert tau.tobytes() == f.roof.tau_arrays(x, y, pid).tobytes()
     assert np.all(z < tau)
+
+
+# (flow, partition, samples_per_cell, t): dropped and starved cells with the
+# Arnoldi spectrum; kept points over three blocks, so the buffer flushes
+# several times; the perturbed flow with the dense spectrum
+ULAM_CASES = [
+    ("flow", (6, 6, 40), 100, 2.0),
+    ("flow", (12, 12, 8), 300, 5.0),
+    ("pflow", (8, 8, 4), 100, 5.0),
+]
+
+
+@pytest.mark.parametrize("flow_name,part,spc,t", ULAM_CASES)
+def test_ulam_build_matches_whole_batch_reference(flow_name, part, spc, t, request,
+                                                  monkeypatch):
+    f = request.getfixturevalue(flow_name)
+    with monkeypatch.context() as mp:
+        moved = _record_advance(mp, f)
+        model = ulam_build(f, t, part, spc, seed=7)
+    states, matrix, volumes, eigvals = ulam_matrix_reference(f, t, part, spc, seed=7)
+    if part == (12, 12, 8):
+        assert sum(c[0].size for c in moved) > 3 * _BLOCK_ELEMENTS
+    assert model.matrix.shape == matrix.shape
+    for a, b in [(model.states, states), (model.matrix.data, matrix.data),
+                 (model.matrix.indices, matrix.indices),
+                 (model.matrix.indptr, matrix.indptr),
+                 (model.volumes, volumes), (model.eigenvalues, eigvals)]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_ulam_build_memory_grows_less_than_24_bytes_a_sample(flow, monkeypatch):
+    # a kept sample keeps only its destination (8 bytes) in ulam_build;
+    # points are moved and binned a block at a time
+    part, t = (12, 12, 4), 5.0
+    kept = []
+    advance = flow._advance
+
+    def count(x, *rest):
+        kept[-1] += x.size
+        return advance(x, *rest)
+
+    monkeypatch.setattr(flow, "_advance", count)
+    kept.append(0)
+    ulam_build(flow, t, part, 100, seed=7)  # first-call imports and caches
+    peak = []
+    for spc in (100, 400):
+        kept.append(0)
+        tracemalloc.start()
+        try:
+            ulam_build(flow, t, part, spc, seed=7)
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert kept[2] > 3 * kept[1]
+    assert (peak[1] - peak[0]) / (kept[2] - kept[1]) < 24
+
+
+def test_ulam_mass_into_a_dropped_cell_names_the_cell(flow, monkeypatch):
+    # column (2, 3) planted as lying above the roof: its cells are dropped,
+    # and at t = 2 mass still reaches them
+    col = _column_roof_max(flow, 6, 6)
+    col[2, 3] = 0.0
+    monkeypatch.setattr(transfer, "_column_roof_max", lambda f, nx, ny: col)
+    with pytest.raises(EmptyCell) as want:
+        ulam_matrix_reference(flow, 2.0, (6, 6, 4), 100, seed=7)
+    with pytest.raises(EmptyCell, match=r"^mass mapped into dropped cell \(2, 3, \d\)$") as got:
+        ulam_build(flow, 2.0, (6, 6, 4), 100, seed=7)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("nx,ny", [(24, 24), (48, 48), (7, 5), (6, 4)])
