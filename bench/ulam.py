@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the Ulam build of this checkout against another, interleaved.
 
-    python3 bench/ulam.py --src PARENT_CHECKOUT --out BENCH.json [--repeats N]
+    python3 bench/ulam.py --src PARENT_CHECKOUT --out BENCH.json
 
 Run from the root of a source checkout.  Each measurement is the ``ulam``
 CLI experiment of the standard flow in a fresh process, at two sizes:
@@ -10,8 +10,9 @@ CLI experiment of the standard flow in a fresh process, at two sizes:
               samples a cell), as the ``sampling`` benchmark workload runs it;
 ``defaults``  the CLI defaults, which add the refined 48 x 48 x 16 build.
 
-Within one repeat the two checkouts run back to back, the first of them
-alternating between repeats, so both sides see the same machine state.
+Each of REPEATS repeats, at seed SEED, runs the two checkouts back to
+back, the first of them alternating between repeats, so both sides see
+the same machine state.
 Each run records the process's wall time from spawn to exit, the seconds
 of the experiment and of each ``transfer.ulam_build`` call inside it, and
 the process's peak resident set size (``ru_maxrss``).  The JSON written
@@ -40,6 +41,8 @@ CASES = {
     "defaults": {},
 }
 ARTIFACTS = ("ulam_report.json", "ulam_spectrum.csv")
+REPEATS = 5
+SEED = 7
 
 # runs inside the measured process: wrap ulam_build with a timer, run the
 # experiment through the CLI entry point, print one JSON line last
@@ -124,8 +127,6 @@ def main(argv=None) -> int:
     ap.add_argument("--src", required=True, type=Path,
                     help="the other checkout (its src/contactflow is timed)")
     ap.add_argument("--out", required=True, type=Path, help="JSON to write")
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=7)
     ns = ap.parse_args(argv)
     sides = {"parent": ns.src.resolve(), "child": Path.cwd()}
     for side, src in sides.items():
@@ -134,12 +135,12 @@ def main(argv=None) -> int:
 
     env = _environment()
     runs = {case: {side: [] for side in sides} for case in CASES}
-    for r in range(ns.repeats):
+    for r in range(REPEATS):
         order = list(sides) if r % 2 == 0 else list(sides)[::-1]
         for case in CASES:
             for side in order:
                 with tempfile.TemporaryDirectory() as tmp:
-                    rec = _run_once(sides[side], case, ns.seed, Path(tmp))
+                    rec = _run_once(sides[side], case, SEED, Path(tmp))
                 runs[case][side].append(rec)
                 print(f"repeat {r} {case:8s} {side:6s} build {rec['build_s']:.3f} s "
                       f"process {rec['process_s']:.3f} s peak {rec['peak_rss_mib']:.1f} MiB",
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
     result = {
         "benchmark": "ulam_build: the ulam CLI experiment in fresh processes, "
                      "parent and child interleaved",
-        "seed": ns.seed, "repeats": ns.repeats,
+        "seed": SEED, "repeats": REPEATS,
         "environment": env,
         "loadavg_after": Path("/proc/loadavg").read_text().split()[:3]
         if Path("/proc/loadavg").exists() else None,

@@ -446,7 +446,11 @@ def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
     cells finish.  Kept points gather in a buffer.  Once it holds
     _BLOCK_ELEMENTS points, and once more at the end, flow._advance moves
     them to time t, half a block per call, and each lands in the flat index
-    (i * ny + j) * nz + k of its destination cell.
+    (i * ny + j) * nz + k of its destination cell.  The destinations match
+    those of one _advance call on every kept point on the seeds and sizes
+    the tests check, but not by construction: a point that rounds up onto
+    its roof crosses only in a pass where some other point of the same call
+    crosses, so in rare cases the outcome depends on the call's slice.
     Returns per-cell (kept, accepted, drawn) counts and a
     (cells x samples_per_cell) array whose row holds the destinations of
     the cell's kept points in (round, draw) order; unfilled slots hold
