@@ -1,25 +1,31 @@
 #!/usr/bin/env python3
-"""Time the Ulam build of this checkout against another, interleaved.
+"""Time CLI experiments of this checkout against another, interleaved.
 
-    python3 bench/ulam.py --src PARENT_CHECKOUT --out BENCH.json
+    python3 bench/experiments.py --src PARENT_CHECKOUT --out BENCH.json
 
-Run from the root of a source checkout.  Each measurement is the ``ulam``
-CLI experiment of the standard flow in a fresh process, at two sizes:
+Run from the root of a source checkout.  Each measurement is one CLI
+experiment of the standard flow in a fresh process.  The cases are
+(experiment, parameters) pairs:
 
-``sampling``  the CLI defaults without refinement (24 x 24 x 8 cells, 200
-              samples a cell), as the ``sampling`` benchmark workload runs it;
-``defaults``  the CLI defaults, which add the refined 48 x 48 x 16 build.
+``ulam-sampling``  ``ulam`` at the CLI defaults without refinement (24 x 24 x
+                   8 cells, 200 samples a cell), as the ``sampling``
+                   benchmark workload runs it;
+``ulam-defaults``  ``ulam`` at the CLI defaults, which add the refined
+                   48 x 48 x 16 build;
+``exact-<exp>``    each operation of the ``exact`` benchmark workload, read
+                   from ``perfbench/workloads.py``.
 
 Each of REPEATS repeats, at seed SEED, runs the two checkouts back to
 back, the first of them alternating between repeats, so both sides see
 the same machine state.
 Each run records the process's wall time from spawn to exit, the seconds
-of the experiment and of each ``transfer.ulam_build`` call inside it, and
-the process's peak resident set size (``ru_maxrss``).  The JSON written
-to ``--out`` holds every run, the per-side medians, the sha256 of each
-side's package sources and ulam artifacts with whether the artifacts
-agree, and the environment (cores, CPU model, load average, Python, NumPy,
-SciPy).
+of the experiment, its own ``wall_time_s`` from ``manifest.json``, the
+seconds of each ``transfer.ulam_build`` call inside it, and the process's
+peak resident set size (``ru_maxrss``).  The JSON written to ``--out``
+holds every run, the per-side medians, the sha256 of each side's package
+sources, of every artifact but ``manifest.json``, and the manifest's checks
+(name, passed, value, tolerance), with whether both sides agree, and the
+environment (cores, CPU model, load average, Python, NumPy, SciPy).
 """
 
 from __future__ import annotations
@@ -36,11 +42,14 @@ import tempfile
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import STANDARD, WORKLOADS  # noqa: E402
+
 CASES = {
-    "sampling": {"refine": False},
-    "defaults": {},
+    "ulam-sampling": ("ulam", {"refine": False}),
+    "ulam-defaults": ("ulam", {}),
+    **{f"exact-{exp}": (exp, prm) for exp, prm in WORKLOADS["exact"]["ops"]},
 }
-ARTIFACTS = ("ulam_report.json", "ulam_spectrum.csv")
 REPEATS = 5
 SEED = 7
 
@@ -63,7 +72,7 @@ def timed(flow, t, partition, *args):
 
 transfer.ulam_build = timed
 t0 = time.perf_counter()
-code = cli.main(["ulam", "--config", sys.argv[1]])
+code = cli.main([sys.argv[1], "--config", sys.argv[2]])
 wall = time.perf_counter() - t0
 print(json.dumps({"exit": code, "experiment_s": wall, "builds": builds,
                   "peak_rss_mib": resource.getrusage(
@@ -98,28 +107,35 @@ def _environment() -> dict:
 
 
 def _run_once(src: Path, case: str, seed: int, workdir: Path) -> dict:
+    experiment, parameters = CASES[case]
     out = workdir / "out"
     cfg = workdir / "config.json"
     cfg.write_text(json.dumps({
-        "flow": {"map": "f0", "epsilon": 0.0, "tau_minus": 1.0},
-        "experiment": "ulam", "parameters": CASES[case],
+        "flow": STANDARD, "experiment": experiment, "parameters": parameters,
         "seed": seed, "out": str(out)}))
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(cfg)], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", CHILD, experiment, str(cfg)],
+                          env=env, capture_output=True, text=True, check=True)
     process_s = time.perf_counter() - t0
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     record["process_s"] = process_s
     record["build_s"] = sum(b["seconds"] for b in record["builds"])
-    record["sha256"] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                        for name in ARTIFACTS}
+    manifest = json.loads((out / "manifest.json").read_text())
+    record["manifest_wall_s"] = manifest["wall_time_s"]
+    record["checks"] = [{k: c[k] for k in ("name", "passed", "value", "tolerance")}
+                        for c in manifest["checks"]]
+    record["sha256"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(out.iterdir())
+                        if p.is_file() and p.name != "manifest.json"}
     return record
 
 
 def _summary(runs: list[dict]) -> dict:
-    return {key: statistics.median(r[key] for r in runs)
-            for key in ("build_s", "experiment_s", "process_s", "peak_rss_mib")}
+    keys = ["experiment_s", "manifest_wall_s", "process_s", "peak_rss_mib"]
+    if runs[0]["builds"]:
+        keys.insert(0, "build_s")
+    return {key: statistics.median(r[key] for r in runs) for key in keys}
 
 
 def main(argv=None) -> int:
@@ -142,13 +158,12 @@ def main(argv=None) -> int:
                 with tempfile.TemporaryDirectory() as tmp:
                     rec = _run_once(sides[side], case, SEED, Path(tmp))
                 runs[case][side].append(rec)
-                print(f"repeat {r} {case:8s} {side:6s} build {rec['build_s']:.3f} s "
-                      f"process {rec['process_s']:.3f} s peak {rec['peak_rss_mib']:.1f} MiB",
-                      flush=True)
+                print(f"repeat {r} {case:17s} {side:6s} process {rec['process_s']:.3f} s "
+                      f"peak {rec['peak_rss_mib']:.1f} MiB", flush=True)
 
     result = {
-        "benchmark": "ulam_build: the ulam CLI experiment in fresh processes, "
-                     "parent and child interleaved",
+        "benchmark": "CLI experiments in fresh processes, parent and child "
+                     "interleaved",
         "seed": SEED, "repeats": REPEATS,
         "environment": env,
         "loadavg_after": Path("/proc/loadavg").read_text().split()[:3]
@@ -156,25 +171,28 @@ def main(argv=None) -> int:
         "sources_sha256": {side: _sources_sha256(src) for side, src in sides.items()},
         "cases": {},
     }
-    for case in CASES:
-        sha = {side: runs[case][side][0]["sha256"] for side in sides}
-        stable = all(rec["sha256"] == sha[side]
-                     for side in sides for rec in runs[case][side])
+    for case, (experiment, parameters) in CASES.items():
+        first = {side: runs[case][side][0] for side in sides}
+        stable = all(rec[key] == first[side][key]
+                     for side in sides for rec in runs[case][side]
+                     for key in ("sha256", "checks"))
         result["cases"][case] = {
-            "parameters": CASES[case],
+            "experiment": experiment, "parameters": parameters,
             "median": {side: _summary(runs[case][side]) for side in sides},
-            "artifact_sha256": sha,
-            "artifacts_identical": stable and sha["parent"] == sha["child"],
+            "artifact_sha256": {side: first[side]["sha256"] for side in sides},
+            "artifacts_identical": stable and first["parent"]["sha256"] == first["child"]["sha256"],
+            "checks_identical": stable and first["parent"]["checks"] == first["child"]["checks"],
             "runs": runs[case],
         }
     ns.out.write_text(json.dumps(result, indent=1) + "\n")
     for case, res in result["cases"].items():
         med = res["median"]
-        print(f"{case}: build {med['parent']['build_s']:.3f} -> "
-              f"{med['child']['build_s']:.3f} s, peak "
+        print(f"{case}: process {med['parent']['process_s']:.3f} -> "
+              f"{med['child']['process_s']:.3f} s, peak "
               f"{med['parent']['peak_rss_mib']:.1f} -> "
               f"{med['child']['peak_rss_mib']:.1f} MiB, artifacts identical: "
-              f"{res['artifacts_identical']}")
+              f"{res['artifacts_identical']}, checks identical: "
+              f"{res['checks_identical']}")
     return 0
 
 

@@ -570,21 +570,22 @@ class SuspensionFlow:
         tau(x, y, pid), in place too: both are recomputed only where a point
         crossed the section, and the map step reads its source piece from
         pid.  Each pass moves the active points to their roof or by their
-        remaining time, and only the points that crossed stay active.
+        remaining time, and only the points that crossed stay active, with
+        any point whose height rounded up onto its roof: it crosses on the
+        next pass, whichever points share the call.
         """
         act = slice(None)  # the first pass takes every point, through views
         while True:
             zi, ri, ti = z[act], rem[act], tau[act]
             gap = ti - zi
             cross = ri >= gap
-            if not cross.any():
-                z[act] = zi + ri
-                return
             # + 0.0: a point that stays while others cross takes one more
             # pass of zero time, which turns a -0.0 height into 0.0
             zs = zi + ri + 0.0
-            # a height rounded up onto the roof crosses on the next pass
             again = ~cross & (zs >= ti)
+            if not cross.any() and not again.any():
+                z[act] = zi + ri
+                return
             z[act] = np.where(cross, 0.0, zs)
             rem[act] = np.where(cross, ri - gap, 0.0)
             act_c = np.flatnonzero(cross)
@@ -592,11 +593,12 @@ class SuspensionFlow:
             if not isinstance(act, slice):
                 act_c, act_n = act[act_c], act[act_n]
             del zi, ri, ti, gap, cross, zs, again  # free before the map step
-            nx, ny, npid = self.base.apply_arrays(x[act_c], y[act_c], pid[act_c])
-            x[act_c], y[act_c], pid[act_c] = nx, ny, npid
-            tau[act_c] = self.roof.tau_arrays(nx, ny, npid)
-            if diag is not None:
-                diag.add(self.base.distance_to_boundary_arrays(nx, ny))
+            if act_c.size:
+                nx, ny, npid = self.base.apply_arrays(x[act_c], y[act_c], pid[act_c])
+                x[act_c], y[act_c], pid[act_c] = nx, ny, npid
+                tau[act_c] = self.roof.tau_arrays(nx, ny, npid)
+                if diag is not None:
+                    diag.add(self.base.distance_to_boundary_arrays(nx, ny))
             act = act_n
 
     def backward_arrays(self, x, y, z, pid, t, diag: FlowDiag | None = None):
@@ -679,32 +681,28 @@ class SuspensionFlow:
 
         (x, y) uniform on the torus, z uniform on [0, tau_max], accepted when
         z < tau(x, y).  Chunked counter-based streams: the samples depend
-        only on (seed, n).
+        only on (seed, n).  Each chunk is drawn and evaluated whole, and only
+        the accepted points still wanted are copied out of it.
         """
         if n < 1:
             raise ValueError("n >= 1 required")
-        chunks_x, chunks_y, chunks_z, chunks_p = [], [], [], []
+        out = None
         total = 0
         ci = 0
         while total < n:
-            rng = spawn_rng(seed, 0, ci)
-            u = rng.random((3, DEFAULT_CHUNK))
-            x, y = u[0], u[1]
-            z = u[2] * self.tau_max
+            u = spawn_rng(seed, 0, ci).random((3, DEFAULT_CHUNK))
+            x, y, z = u
+            z *= self.tau_max
             pid = self.base.piece_of_arrays(x, y)
-            tau = self.roof.tau_arrays(x, y, pid)
-            acc = z < tau
-            chunks_x.append(x[acc])
-            chunks_y.append(y[acc])
-            chunks_z.append(z[acc])
-            chunks_p.append(pid[acc])
-            total += int(acc.sum())
+            take = np.flatnonzero(z < self.roof.tau_arrays(x, y, pid))[: n - total]
+            if out is None:
+                out = [np.empty(n, dtype=a.dtype) for a in (x, y, z, pid)]
+            for dst, src in zip(out, (x, y, z, pid)):
+                np.take(src, take, out=dst[total:total + take.size])
+            total += take.size
             ci += 1
-        x = np.concatenate(chunks_x)[:n]
-        y = np.concatenate(chunks_y)[:n]
-        z = np.concatenate(chunks_z)[:n]
-        pid = np.concatenate(chunks_p)[:n]
-        return FlowPointBatch(x, y, z, pid)
+            del u, x, y, z, pid, take  # free the chunk before the next draw
+        return FlowPointBatch(*out)
 
 
 def standard_flow(tau_minus: float = 1.0) -> SuspensionFlow:

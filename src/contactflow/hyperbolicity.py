@@ -78,16 +78,11 @@ class Cone2:
         """n unit vectors filling the cone, boundary rays included."""
         if n < 2:
             raise ValueError("n >= 2 required")
-        u = np.linspace(-self.aperture, self.aperture, n)
-        t = np.asarray(self.transverse)
-        ax = np.asarray(self.axial)
-        dirs = []
-        for ui in u:
-            f = t - ui * ax  # solve L1 v = ui L2 v
-            d = np.array([-f[1], f[0]])
-            d /= np.linalg.norm(d)
-            dirs.append(d)
-        return np.stack(dirs)
+        u = np.linspace(-self.aperture, self.aperture, n)[:, None]
+        f = np.asarray(self.transverse) - u * np.asarray(self.axial)  # L1 v = u L2 v
+        d = np.stack([-f[:, 1], f[:, 0]], axis=1)
+        # sqrt(d . d) row by row: the bits of np.linalg.norm on one ray
+        return d / np.sqrt(np.vecdot(d, d))[:, None]
 
     def stable_partner(self) -> "Cone2":
         """Cone with the two functionals swapped (same aperture)."""

@@ -446,15 +446,13 @@ def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
     cells finish.  Kept points gather in a buffer.  Once it holds
     _BLOCK_ELEMENTS points, and once more at the end, flow._advance moves
     them to time t, half a block per call, and each lands in the flat index
-    (i * ny + j) * nz + k of its destination cell.  The destinations match
-    those of one _advance call on every kept point on the seeds and sizes
-    the tests check, but not by construction: a point that rounds up onto
-    its roof crosses only in a pass where some other point of the same call
-    crosses, so in rare cases the outcome depends on the call's slice.
+    (i * ny + j) * nz + k of its destination cell.  _advance moves each
+    point by its own values alone, so the destinations are those of one
+    _advance call on every kept point, whatever the slices.
     Returns per-cell (kept, accepted, drawn) counts and a
     (cells x samples_per_cell) array whose row holds the destinations of
     the cell's kept points in (round, draw) order; unfilled slots hold
-    nx * ny * nz.
+    nx * ny * nz.  The ids are int32 when nx * ny * nz fits.
     """
     nx, ny, nz = partition
     dz = flow.tau_max / nz
@@ -465,7 +463,8 @@ def _sample_cells(flow, cells: np.ndarray, partition, samples_per_cell: int,
     got = np.zeros(n, dtype=np.int64)
     accepted = np.zeros_like(got)
     drawn = np.zeros_like(got)
-    dest = np.full((n, samples_per_cell), nx * ny * nz, dtype=np.int64)
+    ids = np.int32 if nx * ny * nz < np.iinfo(np.int32).max else np.int64
+    dest = np.full((n, samples_per_cell), nx * ny * nz, dtype=ids)
     pool = max(1, _BLOCK_ELEMENTS // m)
     # the buffer: x, y, z, roof and piece of each kept point, and its slot
     # cell * samples_per_cell + rank in dest; a round adds at most pool * m
@@ -573,7 +572,7 @@ def ulam_build(flow, t, partition, samples_per_cell: int, seed: int) -> UlamMode
 
     # state of each flat cell index: dropped cells read -1, and the unfilled
     # slot marker nx * ny * nz reads n_states, which sorts after every state
-    idx3 = np.full(nx * ny * nz + 1, -1, dtype=np.int64)
+    idx3 = np.full(nx * ny * nz + 1, -1, dtype=dest.dtype)
     idx3[(states[:, 0] * ny + states[:, 1]) * nz + states[:, 2]] = np.arange(n_states)
     idx3[-1] = n_states
     cols = idx3[dest]

@@ -8,7 +8,7 @@ import numpy as np
 
 from contactflow import EmptyCell, RoofFunction, SuspensionFlow, standard_map, transfer
 from contactflow._quadrature import gl_interval
-from contactflow._rng import spawn_rng
+from contactflow._rng import DEFAULT_CHUNK, spawn_rng
 
 
 # exact (n, D_b, D_e, cells_b, cells_e) of the standard map at the CLI
@@ -96,6 +96,41 @@ def backward_orbit_reference(flow, x, y, z, pid, ts):
         x, y, pid = flow.base.apply_inverse(x, y)
         z = flow.roof.tau(x, y, pid)
     return ox, oy, oz, op
+
+
+def sample_invariant_reference(flow, seed, n):
+    """Chunk-and-concatenate rejection sampler: the reference for
+    SuspensionFlow.sample_invariant.
+
+    Keeps every accepted point of each chunk and concatenates the chunks.
+    Returns the first n of (x, y, z, pid), a prefix of the output for any
+    larger n, and the accepted count of each chunk drawn.
+    """
+    chunks = []
+    total = ci = 0
+    while total < n:
+        u = spawn_rng(seed, 0, ci).random((3, DEFAULT_CHUNK))
+        x, y = u[0], u[1]
+        z = u[2] * flow.tau_max
+        pid = flow.base.piece_of_arrays(x, y)
+        acc = z < flow.roof.tau_arrays(x, y, pid)
+        chunks.append((x[acc], y[acc], z[acc], pid[acc]))
+        total += int(acc.sum())
+        ci += 1
+    return (tuple(np.concatenate(c)[:n] for c in zip(*chunks)),
+            [c[0].size for c in chunks])
+
+
+def sample_directions_reference(cone, n):
+    """Cone2.sample_directions one ray at a time, each normalised by
+    np.linalg.norm."""
+    t, ax = np.asarray(cone.transverse), np.asarray(cone.axial)
+    dirs = []
+    for ui in np.linspace(-cone.aperture, cone.aperture, n):
+        f = t - ui * ax
+        d = np.array([-f[1], f[0]])
+        dirs.append(d / np.linalg.norm(d))
+    return np.stack(dirs)
 
 
 def ulam_sampler_reference(flow, cells, partition, samples_per_cell, seed):
@@ -256,15 +291,17 @@ def forward_reference(flow, x, y, z, pid, t):
     """Whole-batch event stepping: the reference for SuspensionFlow.forward_arrays.
 
     Every pass evaluates the roof at every point and moves each point to
-    its roof (crossing onto its image) or by its remaining time.
+    its roof (crossing onto its image) or by its remaining time; a height
+    that rounds up onto its roof crosses on the next pass.
     """
     x, y, z = (np.array(v, dtype=float) for v in (x, y, z))
     pid = np.array(pid, dtype=np.int64)
     rem = np.broadcast_to(np.asarray(t, dtype=float), x.shape).copy()
     while True:
-        gap = flow.roof.tau_arrays(x, y, pid) - z
+        tau = flow.roof.tau_arrays(x, y, pid)
+        gap = tau - z
         cross = rem >= gap
-        if not np.any(cross):
+        if not np.any(cross | (z + rem >= tau)):
             z += rem
             return x, y, z, pid
         stay = ~cross

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from helpers import (
     interior_points,
     perturbed_roof_reference,
     piece_of_reference,
+    sample_invariant_reference,
     signed_area2,
     vertex,
     wrap_diff,
@@ -460,6 +462,26 @@ def test_forward_arrays_matches_reference_on_edge_heights(flow):
     assert not np.signbit(got[2][500:1000]).any()
 
 
+def test_height_rounded_onto_its_roof_crosses_without_company(flow):
+    # rem < tau - z, but z + rem rounds up onto the roof: the point crosses
+    # when advanced alone, as it does beside a point that crosses
+    x, y, z = 0.967, 0.676, 1.15334
+    pid = flow.base.piece_of(x, y)
+    tau = flow.roof.tau(x, y, pid)
+    rem = float(np.nextafter(tau - z, 0.0))
+    assert rem < tau - z and z + rem >= tau
+    alone = flow.forward_arrays([x], [y], [z], [pid], rem)
+    q = flow.flow_point(0.3, 0.4, 0.0)
+    beside = flow.forward_arrays([x, q.x], [y, q.y], [z, q.z], [pid, q.piece_id],
+                                 [rem, 5.0])
+    ref = forward_reference(flow, [x], [y], [z], [pid], rem)
+    for a, b, c in zip(alone, beside, ref):
+        assert a.dtype == b.dtype == c.dtype
+        assert a.tobytes() == b[:1].tobytes() == c.tobytes()
+    assert (alone[0][0], alone[1][0], alone[3][0]) == flow.base.apply(x, y)
+    assert alone[2][0] == 0.0
+
+
 def test_roof_rejects_unclaimed_piece_id(flow):
     # piece id -1 marks a point no piece claims; it must not index the last
     # piece's coefficients
@@ -574,6 +596,33 @@ def test_sample_invariant_depends_only_on_seed(flow):
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     assert np.array_equal(a.z, b.z) and np.array_equal(a.piece_id, b.piece_id)
     assert not np.array_equal(a.x, c.x)
+
+
+@pytest.mark.parametrize("flow_name", ["flow", "pflow"])
+def test_sample_invariant_matches_chunk_reference(flow_name, request):
+    # n = 1, 200, the last accepted point of chunk 0, the first of chunk 1,
+    # and 200,000 (two chunks)
+    f = request.getfixturevalue(flow_name)
+    ref, counts = sample_invariant_reference(f, 13, 200_000)
+    assert len(counts) == 2
+    for n in (1, 200, counts[0], counts[0] + 1, 200_000):
+        got = f.sample_invariant(13, n)
+        for a, b in zip((got.x, got.y, got.z, got.piece_id), ref):
+            assert a.dtype == b.dtype and a.shape == (n,)
+            assert a.tobytes() == b[:n].tobytes()
+
+
+def test_sample_invariant_peak_memory_below_16_mib(flow):
+    # one chunk of draws is about 6 MiB; the accepted points of a whole
+    # chunk are not kept when 200 are asked for
+    flow.sample_invariant(3, 200)  # first-call caches
+    tracemalloc.start()
+    try:
+        flow.sample_invariant(3, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_box_mass_preserved_under_flow(flow):

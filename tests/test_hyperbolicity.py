@@ -28,6 +28,7 @@ from helpers import (
     homogeneous_polygon,
     max_incidence_reference,
     polygon,
+    sample_directions_reference,
     signed_area2,
 )
 
@@ -49,6 +50,19 @@ def test_cone_aperture_homogeneous(c, u):
     ap1 = float(cone.aperture_of(v))
     ap2 = float(cone.aperture_of(c * np.asarray(v)))
     assert ap2 == pytest.approx(ap1, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("cone,n", [
+    (Cone2(1.0), 10_000),
+    (Cone2(0.01), 4096),
+    (Cone2(0.01).stable_partner(), 4096),
+    (Cone2(0.3, transverse=(0.2, -1.3), axial=(1.7, 0.4)), 4096),
+], ids=["unit", "narrow", "narrow-stable", "oblique"])
+def test_sample_directions_match_per_ray_reference(cone, n):
+    got = cone.sample_directions(n)
+    want = sample_directions_reference(cone, n)
+    assert got.dtype == want.dtype and got.shape == want.shape == (n, 2)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sample_directions_stay_inside():

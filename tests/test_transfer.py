@@ -313,9 +313,10 @@ def test_ulam_sampler_matches_per_cell_reference(flow, samples_per_cell, monkeyp
     # draw) order; unfilled slots hold nx * ny * nz
     dest = got[3]
     filled = np.arange(spc) < counts[:, None]
-    assert dest.dtype == np.int64 and dest.shape == (len(cells), spc)
+    # int32 ids: the 6 x 6 x 40 cell ids fit
+    assert dest.dtype == np.int32 and dest.shape == (len(cells), spc)
     want = ulam_destinations_reference(flow, t, part, ref[3:])
-    assert dest[filled].tobytes() == want.tobytes()
+    assert dest[filled].tobytes() == want.astype(np.int32).tobytes()
     assert np.all(dest[~filled] == np.prod(part))
 
     model = ulam_build(flow, t, part, spc, seed=7)
@@ -372,7 +373,7 @@ def test_ulam_build_matches_whole_batch_reference(flow_name, part, spc, t, reque
 
 
 def test_ulam_build_memory_grows_less_than_24_bytes_a_sample(flow, monkeypatch):
-    # a kept sample keeps only its destination (8 bytes) in ulam_build;
+    # a kept sample keeps only its destination (4 bytes) in ulam_build;
     # points are moved and binned a block at a time
     part, t = (12, 12, 4), 5.0
     kept = []
